@@ -105,7 +105,8 @@ pub struct AnalysisConfig {
     /// interval, so — like `threads` — it is excluded from
     /// [`AnalysisConfig::digest`].
     pub checkpoint_interval: usize,
-    /// Cache layouts simulated per trace pass in measurement campaigns
+    /// Cache layouts simulated per trace pass, in the convergence stage's
+    /// steps and in measurement campaigns alike
     /// (`mbcr_cpu::Parallelism::batch_width`). Samples are bit-identical at
     /// every width, so — like `threads` — this is a pure throughput knob,
     /// excluded from [`AnalysisConfig::digest`].
@@ -249,8 +250,8 @@ impl AnalysisConfigBuilder {
         self
     }
 
-    /// Sets the campaign layouts-per-pass width (clamped to at least 1).
-    /// Never affects results.
+    /// Sets the layouts-per-pass width of convergence and campaigns
+    /// (clamped to at least 1). Never affects results.
     #[must_use]
     pub fn batch_width(mut self, width: usize) -> Self {
         self.cfg.batch_width = width.max(1);

@@ -86,7 +86,7 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 
 use mbcr_cache::CacheGeometry;
-use mbcr_cpu::{campaign_slice, campaign_slice_chunked, Parallelism, PlatformConfig};
+use mbcr_cpu::{campaign_slice_chunked, CompiledCampaign, Parallelism, PlatformConfig};
 use mbcr_evt::{converge, ConvergenceConfig, IidReport, Pwcet};
 use mbcr_ir::{
     classify, execute, group_inputs_by_path, Inputs, PathSpace, Program, Rollup, RollupSide,
@@ -580,7 +580,9 @@ pub struct ConvergeOutput {
     pub sample: Vec<u64>,
 }
 
-/// The MBPTA convergence stage.
+/// The MBPTA convergence stage. Every step extends one compiled campaign
+/// ([`CompiledCampaign`]), so the trace resolves and the kernel is set up
+/// once per stage, not once per step.
 #[derive(Debug, Clone, Copy)]
 pub struct ConvergeStage<'c> {
     /// The simulated platform.
@@ -589,6 +591,9 @@ pub struct ConvergeStage<'c> {
     pub convergence: &'c ConvergenceConfig,
     /// Master seed of the campaign's run-seed stream.
     pub campaign_seed: u64,
+    /// Cache layouts simulated per trace pass (never affects results, so
+    /// not part of the digest).
+    pub batch_width: usize,
 }
 
 impl<'i, 'c> AnalysisStage<'i> for ConvergeStage<'c> {
@@ -610,16 +615,12 @@ impl<'i, 'c> AnalysisStage<'i> for ConvergeStage<'c> {
     }
 
     fn run(&self, input: Self::Input) -> Result<Self::Output, AnalyzeError> {
+        let par = Parallelism::serial().batch_width(self.batch_width);
+        let mut campaign = CompiledCampaign::new(self.platform, input, self.campaign_seed, &par);
         let mut collected: Vec<u64> = Vec::new();
         let outcome = converge(
             |count| {
-                let out = campaign_slice(
-                    self.platform,
-                    input,
-                    collected.len(),
-                    count,
-                    self.campaign_seed,
-                );
+                let out = campaign.slice(collected.len(), count);
                 collected.extend_from_slice(&out);
                 out
             },
@@ -1175,6 +1176,7 @@ impl StageDigests {
             platform: &cfg.platform,
             convergence: &cfg.convergence,
             campaign_seed: campaign_seed(cfg),
+            batch_width: cfg.batch_width,
         }
         .digest(trace);
         let campaign = CampaignStage {
@@ -2074,6 +2076,7 @@ impl<'a> AnalysisSession<'a> {
             platform: &cfg.platform,
             convergence: &cfg.convergence,
             campaign_seed: campaign_seed(cfg),
+            batch_width: cfg.batch_width,
         };
         if let Some(data) = self.load_artifact(StageKind::Converge) {
             if let Some(output) = stage.decode(&data) {
@@ -2435,7 +2438,7 @@ mod tests {
         let trace: Trace = (0..48).map(|i| Access::read(i * 32)).collect();
         let seed = 7;
         let runs = 500;
-        let prefix = campaign_slice(&platform, &trace, 0, 120, seed);
+        let prefix = mbcr_cpu::campaign_slice(&platform, &trace, 0, 120, seed);
         let reference = mbcr_cpu::campaign(&platform, &trace, runs, seed);
         fn stage_at<'c>(
             platform: &'c PlatformConfig,

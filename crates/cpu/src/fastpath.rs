@@ -52,6 +52,7 @@ const INSTR_BIT: u32 = 1 << 31;
 
 /// Per-cache state of one campaign pass: the packed sets of all `W`
 /// layouts, their replacement RNG streams, and the per-layout miss tally.
+#[derive(Debug, Clone)]
 struct SideState {
     /// Distinct line ids of this cache, indexed by dense id.
     lines: Vec<u32>,
@@ -245,6 +246,7 @@ fn detect_kernel() -> Kernel {
 
 /// A campaign compiled for the specialized 2-way random-replacement
 /// kernel: dense line ids, packed op stream, and reusable per-pass state.
+#[derive(Debug, Clone)]
 pub(crate) struct FastCampaign {
     placement: PlacementPolicy,
     il1: SideState,

@@ -18,10 +18,12 @@
 //! * a [`campaign`] collects `R` execution times with per-run seeds derived
 //!   deterministically from one master seed (bit-identical results whether
 //!   run serially or with [`campaign_parallel`]);
-//! * the campaign drivers resolve the trace to line ids once per campaign
-//!   ([`ResolvedTrace`]) and sweep up to [`Parallelism::batch_width`]
-//!   layouts per trace pass ([`BatchPlatform`]) — pure throughput knobs:
-//!   the sample is bit-identical at every thread count and batch width.
+//! * the campaign drivers compile a seed stream once
+//!   ([`CompiledCampaign`]): the trace resolves to line ids
+//!   ([`ResolvedTrace`]) and one kernel sweeps up to
+//!   [`Parallelism::batch_width`] layouts per trace pass
+//!   ([`BatchPlatform`]) — pure throughput knobs: the sample is
+//!   bit-identical at every thread count and batch width.
 //!
 //! # Examples
 //!
@@ -310,9 +312,13 @@ pub fn campaign(cfg: &PlatformConfig, trace: &Trace, runs: usize, master_seed: u
 
 /// Collects the execution times of runs `start .. start + runs` of the seed
 /// stream defined by `master_seed` — the incremental form of [`campaign`]
-/// used by the MBPTA convergence procedure (each step extends the same
-/// deterministic stream, so `campaign(n)` equals the concatenation of
-/// slices covering `0..n`).
+/// (each slice extends the same deterministic stream, so `campaign(n)`
+/// equals the concatenation of slices covering `0..n`).
+///
+/// This is the serial (one layout at a time) loop, the reference stream
+/// every batched and parallel variant must match bit for bit. Drivers that
+/// take many slices of one stream compile it once instead
+/// ([`CompiledCampaign`]).
 #[must_use]
 pub fn campaign_slice(
     cfg: &PlatformConfig,
@@ -321,84 +327,156 @@ pub fn campaign_slice(
     runs: usize,
     master_seed: u64,
 ) -> Vec<u64> {
-    let rt = ResolvedTrace::resolve(cfg, trace);
-    campaign_slice_resolved(cfg, &rt, start, runs, master_seed)
+    let serial = Parallelism::serial().batch_width(1);
+    CompiledCampaign::new(cfg, trace, master_seed, &serial).slice(start, runs)
 }
 
-/// The serial (one layout at a time) campaign loop over a pre-resolved
-/// trace — the reference stream every batched/parallel variant must match
-/// bit for bit. The platform is built directly from the first run seed
-/// ([`Platform::for_run`]) and reseeded in place for subsequent runs.
-fn campaign_slice_resolved(
-    cfg: &PlatformConfig,
-    rt: &ResolvedTrace,
-    start: usize,
-    runs: usize,
-    master_seed: u64,
-) -> Vec<u64> {
-    let mut out = Vec::with_capacity(runs);
-    if runs == 0 {
-        return out;
-    }
-    let mut platform = Platform::for_run(cfg, derive_seed(master_seed, start as u64));
-    out.push(platform.run_resolved(rt));
-    for i in start + 1..start + runs {
-        out.push(platform.run_randomized_resolved(rt, derive_seed(master_seed, i as u64)));
-    }
-    out
-}
-
-/// The batched campaign loop: simulates runs `start .. start + runs` in
-/// passes of up to `batch_width` layouts over one batched engine (reseeded
-/// between passes), recording each realized pass width in the
-/// `mbcr_campaign_layouts_per_pass` histogram. Bit-identical to
-/// [`campaign_slice_resolved`] for every width.
+/// One seed stream compiled for repeated slicing: the trace resolved to
+/// line ids once ([`ResolvedTrace`]) and the simulation kernel picked
+/// once — the specialized 2-way random-replacement kernel where the
+/// configuration allows it, the general [`BatchPlatform`] otherwise, and
+/// the serial [`Platform`] loop at batch width 1. The kernel's state is
+/// reused from slice to slice, so a driver that draws many short slices
+/// (MBPTA convergence extends its sample 100 runs at a time) pays the
+/// set-up once, not per slice.
 ///
-/// Paper-shaped configurations (2-way caches with random replacement) run
-/// on the specialized [`fastpath::FastCampaign`] kernel; everything else —
-/// and width-1 requests, where batching buys nothing — falls back to the
-/// general [`BatchPlatform`].
-fn campaign_slice_resolved_batched(
-    cfg: &PlatformConfig,
-    rt: &ResolvedTrace,
-    start: usize,
-    runs: usize,
+/// Every slice is bit-identical to [`campaign_slice`] at any
+/// [`Parallelism`] setting: run `i` is always seeded
+/// `derive_seed(master_seed, i)`.
+///
+/// # Examples
+///
+/// ```
+/// use mbcr_cpu::{campaign, CompiledCampaign, Parallelism, PlatformConfig};
+/// use mbcr_trace::{Access, Trace};
+///
+/// let cfg = PlatformConfig::paper_default();
+/// let trace: Trace = [Access::fetch(0x0), Access::read(0x8000)].into_iter().collect();
+/// let mut compiled = CompiledCampaign::new(&cfg, &trace, 42, &Parallelism::serial());
+/// let mut sample = compiled.slice(0, 300);
+/// sample.extend(compiled.slice(300, 100));
+/// assert_eq!(sample, campaign(&cfg, &trace, 400, 42));
+/// ```
+#[derive(Debug, Clone)]
+pub struct CompiledCampaign {
+    cfg: PlatformConfig,
+    rt: ResolvedTrace,
     master_seed: u64,
-    batch_width: usize,
-) -> Vec<u64> {
-    let width = batch_width.max(1);
-    if width == 1 || runs < 2 {
-        return campaign_slice_resolved(cfg, rt, start, runs, master_seed);
-    }
-    let mut fast =
-        fastpath::FastCampaign::try_new(cfg, rt).filter(|fast| fast.supports_width(width));
-    let mut out = Vec::with_capacity(runs);
-    let end = start + runs;
-    let mut seeds = Vec::with_capacity(width.min(runs));
-    let mut platform: Option<BatchPlatform> = None;
-    let mut at = start;
-    while at < end {
-        let pass = width.min(end - at);
-        seeds.clear();
-        seeds.extend((at..at + pass).map(|i| derive_seed(master_seed, i as u64)));
-        mbcr_obs::observe("mbcr_campaign_layouts_per_pass", &[], pass as u64);
-        if let Some(fast) = fast.as_mut() {
-            let base = out.len();
-            out.resize(base + pass, 0);
-            fast.run_pass(&seeds, &mut out[base..]);
+    par: Parallelism,
+    kernel: Kernel,
+    /// Run seeds of the current pass (reused allocation).
+    seeds: Vec<u64>,
+}
+
+/// The kernel a [`CompiledCampaign`] runs, holding its reusable state
+/// (built by the first pass).
+#[derive(Debug, Clone)]
+enum Kernel {
+    /// Width 1: one layout per trace walk on a platform reseeded in place.
+    Serial(Option<Platform>),
+    /// Paper-shaped configurations: [`fastpath::FastCampaign`].
+    Fast(fastpath::FastCampaign),
+    /// Everything else: the general batched engine.
+    Batch(Option<BatchPlatform>),
+}
+
+impl CompiledCampaign {
+    /// Resolves `trace` for `cfg` and picks the kernel for
+    /// `par.batch_width` layouts per pass; `par.threads` and
+    /// `par.min_parallel_runs` then govern every [`slice`](Self::slice).
+    #[must_use]
+    pub fn new(cfg: &PlatformConfig, trace: &Trace, master_seed: u64, par: &Parallelism) -> Self {
+        let rt = ResolvedTrace::resolve(cfg, trace);
+        let par = Parallelism {
+            batch_width: par.batch_width.max(1),
+            ..*par
+        };
+        let kernel = if par.batch_width == 1 {
+            Kernel::Serial(None)
         } else {
-            let batch = match platform.as_mut() {
-                Some(batch) => {
-                    batch.reseed(&seeds);
-                    batch
-                }
-                None => platform.insert(BatchPlatform::new(cfg, &seeds)),
-            };
-            out.extend_from_slice(batch.run_resolved(rt));
+            fastpath::FastCampaign::try_new(cfg, &rt)
+                .filter(|fast| fast.supports_width(par.batch_width))
+                .map_or(Kernel::Batch(None), Kernel::Fast)
+        };
+        Self {
+            cfg: *cfg,
+            rt,
+            master_seed,
+            par,
+            kernel,
+            seeds: Vec::with_capacity(par.batch_width),
         }
-        at += pass;
     }
-    out
+
+    /// The execution times of runs `start .. start + runs`, in run-index
+    /// order. Slices of at least `min_parallel_runs` runs split into one
+    /// contiguous part per thread, each simulated on its own copy of the
+    /// kernel.
+    #[must_use]
+    pub fn slice(&mut self, start: usize, runs: usize) -> Vec<u64> {
+        let mut out = vec![0u64; runs];
+        let threads = self.par.threads.max(1).min(runs.max(1));
+        if threads <= 1 || runs < self.par.min_parallel_runs.max(2) {
+            self.run_passes(start, &mut out);
+            return out;
+        }
+        let part = runs.div_ceil(threads);
+        std::thread::scope(|scope| {
+            for (t, slot) in out.chunks_mut(part).enumerate() {
+                let mut worker = self.clone();
+                scope.spawn(move || worker.run_passes(start + t * part, slot));
+            }
+        });
+        out
+    }
+
+    /// Fills `out` with runs `start .. start + out.len()` in passes of up
+    /// to `batch_width` layouts, recording each batched pass's realized
+    /// width in the `mbcr_campaign_layouts_per_pass` histogram.
+    fn run_passes(&mut self, start: usize, out: &mut [u64]) {
+        let Self {
+            cfg,
+            rt,
+            master_seed,
+            par,
+            kernel,
+            seeds,
+        } = self;
+        let mut at = start;
+        for pass in out.chunks_mut(par.batch_width) {
+            seeds.clear();
+            seeds.extend((at..at + pass.len()).map(|i| derive_seed(*master_seed, i as u64)));
+            at += pass.len();
+            match kernel {
+                Kernel::Serial(platform) => {
+                    let seed = seeds[0];
+                    let platform = match platform {
+                        Some(platform) => {
+                            platform.reseed(seed);
+                            platform
+                        }
+                        None => platform.insert(Platform::for_run(cfg, seed)),
+                    };
+                    pass[0] = platform.run_resolved(rt);
+                }
+                Kernel::Fast(fast) => {
+                    mbcr_obs::observe("mbcr_campaign_layouts_per_pass", &[], pass.len() as u64);
+                    fast.run_pass(seeds, pass);
+                }
+                Kernel::Batch(platform) => {
+                    mbcr_obs::observe("mbcr_campaign_layouts_per_pass", &[], pass.len() as u64);
+                    let batch = match platform {
+                        Some(batch) => {
+                            batch.reseed(seeds);
+                            batch
+                        }
+                        None => platform.insert(BatchPlatform::new(cfg, seeds)),
+                    };
+                    pass.copy_from_slice(batch.run_resolved(rt));
+                }
+            }
+        }
+    }
 }
 
 /// Campaign parallelism knobs, exposed so batch drivers (the sweep engine)
@@ -524,44 +602,7 @@ pub fn campaign_slice_with(
     master_seed: u64,
     par: &Parallelism,
 ) -> Vec<u64> {
-    let rt = ResolvedTrace::resolve(cfg, trace);
-    campaign_slice_resolved_with(cfg, &rt, start, runs, master_seed, par)
-}
-
-/// [`campaign_slice_with`] over a pre-resolved trace — the form the chunked
-/// driver uses so the trace is resolved once per campaign, not once per
-/// chunk.
-fn campaign_slice_resolved_with(
-    cfg: &PlatformConfig,
-    rt: &ResolvedTrace,
-    start: usize,
-    runs: usize,
-    master_seed: u64,
-    par: &Parallelism,
-) -> Vec<u64> {
-    let threads = par.threads.max(1).min(runs.max(1));
-    if threads <= 1 || runs < par.min_parallel_runs.max(2) {
-        return campaign_slice_resolved_batched(cfg, rt, start, runs, master_seed, par.batch_width);
-    }
-    let mut out = vec![0u64; runs];
-    let chunk = runs.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (t, slot) in out.chunks_mut(chunk).enumerate() {
-            let first = start + t * chunk;
-            scope.spawn(move || {
-                let part = campaign_slice_resolved_batched(
-                    cfg,
-                    rt,
-                    first,
-                    slot.len(),
-                    master_seed,
-                    par.batch_width,
-                );
-                slot.copy_from_slice(&part);
-            });
-        }
-    });
-    out
+    CompiledCampaign::new(cfg, trace, master_seed, par).slice(start, runs)
 }
 
 /// [`campaign_slice_with`] driven in chunks, for drivers that persist
@@ -580,7 +621,7 @@ fn campaign_slice_resolved_with(
 /// offset of it. `chunk_runs == 0` simulates the slice as one chunk. Each
 /// chunk is simulated independently (layout batches never straddle a chunk
 /// boundary, so [`Parallelism::batch_width`] clamps to the checkpoint grid
-/// for free), and the trace is resolved once for the whole slice. The
+/// for free), and the slice is compiled once ([`CompiledCampaign`]). The
 /// returned sample is bit-identical to [`campaign_slice_with`] for every
 /// chunking and parallelism setting (when the sink never aborts).
 #[allow(clippy::too_many_arguments)]
@@ -594,7 +635,7 @@ pub fn campaign_slice_chunked(
     chunk_runs: usize,
     mut sink: impl FnMut(usize, &[u64]) -> bool,
 ) -> Vec<u64> {
-    let rt = ResolvedTrace::resolve(cfg, trace);
+    let mut compiled = CompiledCampaign::new(cfg, trace, master_seed, par);
     let mut out = Vec::with_capacity(runs);
     let end = start + runs;
     let mut at = start;
@@ -610,7 +651,7 @@ pub fn campaign_slice_chunked(
                     "batch_width",
                     par.batch_width.max(1).min(next - at).to_string(),
                 );
-            campaign_slice_resolved_with(cfg, &rt, at, next - at, master_seed, par)
+            compiled.slice(at, next - at)
         };
         let keep_going = sink(at, &slice);
         out.extend_from_slice(&slice);
@@ -915,6 +956,38 @@ mod tests {
                 serial,
                 "width={width}"
             );
+        }
+    }
+
+    #[test]
+    fn compiled_campaign_steps_match_the_serial_stream() {
+        // Convergence-shaped draws (an initial block, then short
+        // extensions) on every kernel: fastpath (2-way random), the
+        // general batch engine (4-way, LRU) and the serial loop (width 1).
+        let trace = sym_trace("ABCDEFGHIJKLMNOPQRSTUVWXYZ", 12);
+        let four_way = PlatformConfig {
+            il1: CacheGeometry::new(4096, 4, 32).unwrap(),
+            dl1: CacheGeometry::new(4096, 4, 32).unwrap(),
+            ..PlatformConfig::paper_default()
+        };
+        for cfg in [
+            PlatformConfig::paper_default(),
+            four_way,
+            PlatformConfig::deterministic(),
+        ] {
+            let serial = campaign_slice(&cfg, &trace, 0, 733, 61);
+            for width in [1, 2, 7, 16, 64] {
+                let par = Parallelism::serial().batch_width(width);
+                let mut compiled = CompiledCampaign::new(&cfg, &trace, 61, &par);
+                let mut stepped = compiled.slice(0, 300);
+                while stepped.len() < serial.len() {
+                    let step = 100.min(serial.len() - stepped.len());
+                    stepped.extend(compiled.slice(stepped.len(), step));
+                }
+                assert_eq!(stepped, serial, "{cfg:?} width={width}");
+                // Slices need not be contiguous: every pass reseeds.
+                assert_eq!(compiled.slice(17, 5), serial[17..22], "width={width}");
+            }
         }
     }
 

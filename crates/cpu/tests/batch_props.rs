@@ -2,8 +2,8 @@
 //! multi-layout simulation must be bit-identical to the serial reference
 //! stream across random geometries × placement/replacement policies ×
 //! batch widths × chunk cut points — including widths that do not divide
-//! the chunk, chunks that do not divide the campaign, and unaligned slice
-//! starts.
+//! the chunk, chunks that do not divide the campaign, unaligned slice
+//! starts, and one compiled campaign sliced step by step.
 //!
 //! Each case derives everything (geometries, policies, trace, campaign
 //! shape) from one generated seed via SplitMix64, so a failing case
@@ -11,7 +11,8 @@
 
 use mbcr_cache::{CacheGeometry, PlacementPolicy, ReplacementPolicy};
 use mbcr_cpu::{
-    campaign_slice, campaign_slice_chunked, campaign_slice_with, Parallelism, PlatformConfig,
+    campaign_slice, campaign_slice_chunked, campaign_slice_with, CompiledCampaign, Parallelism,
+    PlatformConfig,
 };
 use mbcr_rng::{Rng64, SplitMix64};
 use mbcr_trace::{Access, Trace};
@@ -83,6 +84,17 @@ proptest! {
                 batched == serial,
                 "slice mismatch width={} seed={}", width, case_seed
             );
+
+            // One compiled stream drawn in convergence-shaped steps (a
+            // first block, then short extensions): kernel state carried
+            // across slices must not leak into the stream.
+            let mut compiled = CompiledCampaign::new(&cfg, &trace, master_seed, &par);
+            let mut stepped = compiled.slice(start, runs / 3);
+            while stepped.len() < runs {
+                let step = (1 + (g.next_u64() % 40) as usize).min(runs - stepped.len());
+                stepped.extend(compiled.slice(start + stepped.len(), step));
+            }
+            prop_assert!(stepped == serial, "stepped mismatch width={} seed={}", width, case_seed);
 
             // Chunked through the checkpoint grid, with a cut the width
             // need not divide; the sink must see contiguous grid-aligned

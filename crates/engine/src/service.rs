@@ -40,7 +40,7 @@ use std::time::Instant;
 
 use mbcr_json::{Json, Serialize};
 
-use crate::store::write_atomic;
+use crate::store::write_json_atomic;
 use crate::{
     finalize_sweep, AnalysisKnobs, ArtifactStore, CampaignProgress, EngineError, JobRecord,
     JobScheduler, JobSummary, Registry, RunOptions, SampleLog, StageKind, SweepOutcome, SweepPlan,
@@ -1088,7 +1088,7 @@ impl SweepRegistry {
             ("spec".to_string(), entry.spec.to_json()),
         ]);
         let path = self.store.queue_dir().join(format!("{}.json", entry.id));
-        write_atomic(&path, doc.to_pretty().as_bytes())
+        write_json_atomic(&path, &doc)
     }
 
     /// Appends one job record to a sweep's journal, fsync'd — the record

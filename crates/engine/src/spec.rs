@@ -204,8 +204,8 @@ pub struct AnalysisKnobs {
     /// Checkpoint-interval override (digest-neutral; see
     /// [`crate::RunOptions::checkpoint_interval`]).
     pub checkpoint_interval: Option<usize>,
-    /// Campaign layouts-per-pass override (digest-neutral; see
-    /// [`crate::RunOptions::batch_width`]).
+    /// Layouts-per-pass override for convergence and campaigns
+    /// (digest-neutral; see [`crate::RunOptions::batch_width`]).
     pub batch_width: Option<usize>,
 }
 

@@ -19,8 +19,8 @@
 //! sweeps in the same store — a warm re-run after a knob change resumes
 //! from the last stage the change did not invalidate.
 //!
-//! JSON artifacts are written atomically (unique temp file + rename), so
-//! an interrupted sweep never leaves torn documents behind; readers
+//! JSON artifacts are streamed into a unique temp file and renamed into
+//! place, so an interrupted sweep never leaves torn documents behind; readers
 //! additionally validate schema tags before treating any file as a cache
 //! hit. Campaign samples are different: they stream through [`SampleLog`],
 //! an append-only, CRC-framed chunk log that is never rewritten whole —
@@ -235,7 +235,7 @@ impl ArtifactStore {
             ),
             ("result".to_string(), result),
         ]);
-        write_atomic(&self.job_path(key), artifact.to_pretty().as_bytes())
+        write_json_atomic(&self.job_path(key), &artifact)
     }
 
     /// Loads the summary block of a cached artifact. Returns `None` when
@@ -257,7 +257,7 @@ impl ArtifactStore {
     ///
     /// [`io::Error`] on filesystem failures.
     pub fn write_manifest(&self, manifest: &Json) -> io::Result<()> {
-        write_atomic(&self.manifest_path(), manifest.to_pretty().as_bytes())
+        write_json_atomic(&self.manifest_path(), manifest)
     }
 
     /// Loads the run manifest, if one exists and parses.
@@ -354,7 +354,7 @@ impl StageStore for ArtifactStore {
     }
 
     fn save_stage(&self, digest: u64, artifact: &Json) -> io::Result<()> {
-        write_atomic(&self.stage_path(digest), artifact.to_pretty().as_bytes())
+        write_json_atomic(&self.stage_path(digest), artifact)
     }
 
     /// Loads the valid prefix of the stage's streamed sample chunk log —
@@ -843,7 +843,24 @@ pub struct CampaignProgress {
     pub total: u64,
 }
 
-pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    write_atomic_with(path, |w| w.write_all(bytes))
+}
+
+/// Writes `doc` atomically, streamed straight into the temp file: the
+/// bytes equal `doc.to_pretty()`, but no rendered copy is ever held in
+/// memory next to the tree.
+pub(crate) fn write_json_atomic(path: &Path, doc: &Json) -> io::Result<()> {
+    write_atomic_with(path, |w| doc.write_pretty(w))
+}
+
+/// The one atomic-write path: `write` fills a buffered unique temp file,
+/// which is fsync'd and renamed over `path`, so readers see either the
+/// old file or the whole new one. A failed write removes its temp file.
+fn write_atomic_with(
+    path: &Path,
+    write: impl FnOnce(&mut io::BufWriter<fs::File>) -> io::Result<()>,
+) -> io::Result<()> {
     // Self-healing: a run dir shipped without one of its subdirectories
     // (e.g. only the content-addressed stages/ tree was copied) grows the
     // missing directory back instead of failing the job.
@@ -857,8 +874,9 @@ pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let serial = WRITER.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let tmp = path.with_extension(format!("tmp{serial}"));
     let result = (|| {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
+        let mut w = io::BufWriter::with_capacity(64 * 1024, fs::File::create(&tmp)?);
+        write(&mut w)?;
+        let f = w.into_inner().map_err(io::IntoInnerError::into_error)?;
         f.sync_all()?;
         fs::rename(&tmp, path)
     })();
@@ -1221,6 +1239,30 @@ mod tests {
             .filter(|n| n.contains(".tmp"))
             .collect();
         assert!(strays.is_empty(), "temp files leaked: {strays:?}");
+        let _ = fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn streamed_json_artifacts_match_the_pretty_rendering() {
+        let store = tmp_store("streamed");
+        // Larger than the write buffer, so the rendering flushes mid-way.
+        let doc = Json::Obj(vec![
+            ("kinds".to_string(), "fé€😀\n".repeat(20_000).into()),
+            (
+                "sample".to_string(),
+                Json::Arr((0..50_000u64).map(Json::UInt).collect()),
+            ),
+        ]);
+        store.save_stage(0x5, &doc).unwrap();
+        assert_eq!(
+            fs::read_to_string(store.stage_path(0x5)).unwrap(),
+            doc.to_pretty()
+        );
+        store.write_manifest(&doc).unwrap();
+        assert_eq!(
+            fs::read_to_string(store.manifest_path()).unwrap(),
+            doc.to_pretty()
+        );
         let _ = fs::remove_dir_all(store.root());
     }
 

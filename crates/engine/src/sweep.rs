@@ -39,9 +39,9 @@ pub struct RunOptions {
     /// checkpoints only at completion). `None` keeps the config default.
     pub checkpoint_interval: Option<usize>,
     /// Override [`mbcr::AnalysisConfig::batch_width`]: cache layouts
-    /// simulated per trace pass in measurement campaigns. Digest-neutral —
-    /// samples are bit-identical at every width. `None` keeps the tuned
-    /// config default.
+    /// simulated per trace pass in convergence steps and measurement
+    /// campaigns. Digest-neutral — samples are bit-identical at every
+    /// width. `None` keeps the tuned config default.
     pub batch_width: Option<usize>,
     /// Order ready jobs by the static cache-analysis pre-screen: cells
     /// whose access sites the abstract classification pins least (the

@@ -30,6 +30,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::io;
 
 /// An ordered JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -139,7 +140,8 @@ impl Json {
     #[must_use]
     pub fn to_compact(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, None, 0);
+        self.write(&mut out, None, 0)
+            .expect("writing to a String cannot fail");
         out
     }
 
@@ -147,56 +149,97 @@ impl Json {
     #[must_use]
     pub fn to_pretty(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
+        self.write(&mut out, Some(2), 0)
+            .expect("writing to a String cannot fail");
         out
     }
 
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
+    /// Streams the [`to_pretty`](Json::to_pretty) rendering into `out`,
+    /// byte for byte, without building the string first — large artifacts
+    /// go to disk without a second in-memory copy. The rendering issues
+    /// many small writes, so hand it a buffered writer.
+    ///
+    /// # Errors
+    ///
+    /// The first error `out` reports.
+    pub fn write_pretty(&self, out: &mut impl io::Write) -> io::Result<()> {
+        let mut sink = IoSink { out, error: None };
+        match self.write(&mut sink, Some(2), 0) {
+            Ok(()) => Ok(()),
+            Err(fmt::Error) => Err(sink
+                .error
+                .unwrap_or_else(|| io::Error::other("JSON rendering failed"))),
+        }
+    }
+
+    fn write<W: fmt::Write>(
+        &self,
+        out: &mut W,
+        indent: Option<usize>,
+        depth: usize,
+    ) -> fmt::Result {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Null => out.write_str("null"),
+            Json::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
             Json::UInt(v) => {
                 let mut buf = itoa_buffer();
-                out.push_str(write_u64(&mut buf, *v));
+                out.write_str(write_u64(&mut buf, *v))
             }
             Json::Int(v) => {
                 if *v < 0 {
-                    out.push('-');
+                    out.write_char('-')?;
                 }
                 let mut buf = itoa_buffer();
-                out.push_str(write_u64(&mut buf, v.unsigned_abs()));
+                out.write_str(write_u64(&mut buf, v.unsigned_abs()))
             }
             Json::Num(v) => {
                 if v.is_finite() {
                     let text = format!("{v}");
-                    out.push_str(&text);
+                    out.write_str(&text)?;
                     // Distinguish 2.0 from the integer 2 so floats stay
                     // floats across a round-trip.
                     if !text.contains(['.', 'e', 'E']) {
-                        out.push_str(".0");
+                        out.write_str(".0")?;
                     }
+                    Ok(())
                 } else {
-                    out.push_str("null");
+                    out.write_str("null")
                 }
             }
             Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => {
                 write_sequence(out, indent, depth, '[', ']', items.len(), |out, i| {
-                    items[i].write(out, indent, depth + 1);
-                });
+                    items[i].write(out, indent, depth + 1)
+                })
             }
             Json::Obj(members) => {
                 write_sequence(out, indent, depth, '{', '}', members.len(), |out, i| {
                     let (key, value) = &members[i];
-                    write_escaped(out, key);
-                    out.push(':');
+                    write_escaped(out, key)?;
+                    out.write_char(':')?;
                     if indent.is_some() {
-                        out.push(' ');
+                        out.write_char(' ')?;
                     }
-                    value.write(out, indent, depth + 1);
-                });
+                    value.write(out, indent, depth + 1)
+                })
             }
         }
+    }
+}
+
+/// Adapts an [`io::Write`] to the [`fmt::Write`] the renderer drives,
+/// keeping the I/O error that `fmt::Error` cannot carry.
+struct IoSink<'w, W> {
+    out: &'w mut W,
+    error: Option<io::Error>,
+}
+
+impl<W: io::Write> fmt::Write for IoSink<'_, W> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.out.write_all(s.as_bytes()).map_err(|e| {
+            self.error = Some(e);
+            fmt::Error
+        })
     }
 }
 
@@ -217,51 +260,69 @@ fn write_u64(buf: &mut [u8; 20], mut v: u64) -> &str {
     std::str::from_utf8(&buf[at..]).expect("ascii digits")
 }
 
-fn write_sequence(
-    out: &mut String,
+fn write_sequence<W: fmt::Write>(
+    out: &mut W,
     indent: Option<usize>,
     depth: usize,
     open: char,
     close: char,
     len: usize,
-    mut item: impl FnMut(&mut String, usize),
-) {
-    out.push(open);
+    mut item: impl FnMut(&mut W, usize) -> fmt::Result,
+) -> fmt::Result {
+    out.write_char(open)?;
     for i in 0..len {
         if i > 0 {
-            out.push(',');
+            out.write_char(',')?;
         }
         if let Some(width) = indent {
-            out.push('\n');
-            out.extend(std::iter::repeat_n(' ', width * (depth + 1)));
+            write_newline_indent(out, width * (depth + 1))?;
         }
-        item(out, i);
+        item(out, i)?;
     }
     if len > 0 {
         if let Some(width) = indent {
-            out.push('\n');
-            out.extend(std::iter::repeat_n(' ', width * depth));
+            write_newline_indent(out, width * depth)?;
         }
     }
-    out.push(close);
+    out.write_char(close)
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
+fn write_newline_indent<W: fmt::Write>(out: &mut W, spaces: usize) -> fmt::Result {
+    const SPACES: &str = "                                ";
+    out.write_char('\n')?;
+    let mut left = spaces;
+    while left > 0 {
+        let n = left.min(SPACES.len());
+        out.write_str(&SPACES[..n])?;
+        left -= n;
     }
-    out.push('"');
+    Ok(())
+}
+
+/// Writes `s` as a quoted JSON string, copying each run of characters
+/// that need no escape in one write.
+fn write_escaped<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    let mut plain = 0;
+    // Every byte that needs an escape is ASCII, so the runs between them
+    // split `s` on character boundaries.
+    for (at, b) in s.bytes().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
+        }
+        out.write_str(&s[plain..at])?;
+        match b {
+            b'"' => out.write_str("\\\"")?,
+            b'\\' => out.write_str("\\\\")?,
+            b'\n' => out.write_str("\\n")?,
+            b'\r' => out.write_str("\\r")?,
+            b'\t' => out.write_str("\\t")?,
+            _ => write!(out, "\\u{b:04x}")?,
+        }
+        plain = at + 1;
+    }
+    out.write_str(&s[plain..])?;
+    out.write_char('"')
 }
 
 impl fmt::Display for Json {
@@ -440,6 +501,7 @@ impl std::error::Error for ParseError {}
 /// [`ParseError`] with the byte offset of the first offending character.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         at: 0,
     };
@@ -453,6 +515,7 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     at: usize,
 }
@@ -604,13 +667,17 @@ impl Parser<'_> {
                     self.at += 1;
                 }
                 Some(_) => {
-                    // Consume one full UTF-8 character.
-                    let rest = &self.bytes[self.at..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().expect("non-empty checked above");
-                    out.push(c);
-                    self.at += c.len_utf8();
+                    // Take the whole run of plain bytes up to the next quote
+                    // or backslash in one step. Both delimiters are ASCII, so
+                    // the run ends on a character boundary of the (already
+                    // valid) input and needs no re-validation.
+                    let start = self.at;
+                    let rest = &self.bytes[start..];
+                    self.at += rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    out.push_str(&self.text[start..self.at]);
                 }
             }
         }
@@ -761,6 +828,116 @@ mod tests {
     fn parser_handles_escapes_and_unicode() {
         let v = parse(r#""a\u00e9\n\t\" \ud83d\ude00""#).unwrap();
         assert_eq!(v.as_str(), Some("aé\n\t\" 😀"));
+    }
+
+    #[test]
+    fn parser_keeps_raw_multibyte_characters() {
+        // 2-, 3- and 4-byte UTF-8 characters at both ends of a string and
+        // next to escapes, on either side.
+        for (text, want) in [
+            ("\"é\"", "é"),
+            ("\"€\"", "€"),
+            ("\"😀\"", "😀"),
+            ("\"é plain 😀\"", "é plain 😀"),
+            ("\"€\\n\"", "€\n"),
+            ("\"\\t😀\"", "\t😀"),
+            ("\"\\\"é\\\"\"", "\"é\""),
+            ("\"😀\\\\€\"", "😀\\€"),
+            ("\"é\\u00e9€\\ud83d\\ude00😀\"", "éé€😀😀"),
+            ("\"a\\/é\"", "a/é"),
+        ] {
+            assert_eq!(parse(text).unwrap().as_str(), Some(want), "parsing {text}");
+        }
+        let v = Json::Obj(vec![("é€😀".into(), "😀\"€\n\\é\u{1}".into())]);
+        for text in [v.to_compact(), v.to_pretty()] {
+            assert_eq!(parse(&text).unwrap(), v, "round-trip of {text}");
+        }
+    }
+
+    #[test]
+    fn truncated_documents_are_errors_not_panics() {
+        let doc = "{\"kinds\": \"fr\\\"é€😀\\u00e9\\ud83d\\ude00w\", \
+                   \"xs\": [1, -2, 3.5e1, true, null], \"o\": {\"k\": \"😀\"}}";
+        assert!(parse(doc).is_ok());
+        for cut in (0..doc.len()).filter(|&at| doc.is_char_boundary(at)) {
+            assert!(parse(&doc[..cut]).is_err(), "prefix of {cut} bytes parsed");
+        }
+        let bare = "\"é\\\"€😀\\\\\"";
+        assert_eq!(parse(bare).unwrap().as_str(), Some("é\"€😀\\"));
+        for cut in (0..bare.len()).filter(|&at| bare.is_char_boundary(at)) {
+            assert!(parse(&bare[..cut]).is_err(), "prefix of {cut} bytes parsed");
+        }
+    }
+
+    #[test]
+    fn trace_shaped_documents_parse_in_linear_time() {
+        // A trace artifact stores one kind character per access next to
+        // an equally long number array; a parser that rescans the rest of
+        // the input per string character is quadratic in this shape.
+        let n = 200_000;
+        let kinds: String = (0..n).map(|i| ['f', 'r', 'w'][i % 3]).collect();
+        let doc = Json::Obj(vec![
+            ("kinds".into(), Json::Str(kinds.clone())),
+            (
+                "addrs".into(),
+                Json::Arr((0..n as u64).map(|i| Json::UInt(i * 4)).collect()),
+            ),
+        ]);
+        let text = doc.to_pretty();
+        let start = std::time::Instant::now();
+        let back = parse(&text).unwrap();
+        let secs = start.elapsed().as_secs_f64();
+        assert_eq!(
+            back.get("kinds").and_then(Json::as_str),
+            Some(kinds.as_str())
+        );
+        assert_eq!(
+            back.get("addrs")
+                .and_then(Json::as_array)
+                .map(<[Json]>::len),
+            Some(n)
+        );
+        assert!(secs < 2.0, "parsing took {secs:.2} s");
+    }
+
+    #[test]
+    fn streamed_rendering_matches_to_pretty() {
+        let v = Json::Obj(vec![
+            ("name".into(), "bs / \"quoted\"\n\u{1f}é".into()),
+            ("seed".into(), Json::UInt(u64::MAX)),
+            ("delta".into(), Json::Int(-42)),
+            ("pwcet".into(), Json::Num(1234.5)),
+            ("whole".into(), Json::Num(2.0)),
+            ("nan".into(), Json::Num(f64::NAN)),
+            (
+                "deep".into(),
+                (0..40).fold(Json::Arr(vec![Json::Null]), |inner, _| {
+                    Json::Arr(vec![inner, Json::Bool(false)])
+                }),
+            ),
+            ("empty_obj".into(), Json::Obj(vec![])),
+            ("empty_arr".into(), Json::Arr(vec![])),
+        ]);
+        let mut streamed = Vec::new();
+        v.write_pretty(&mut streamed).unwrap();
+        assert_eq!(String::from_utf8(streamed).unwrap(), v.to_pretty());
+    }
+
+    #[test]
+    fn streamed_rendering_reports_writer_errors() {
+        struct Full;
+        impl io::Write for Full {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Err(io::Error::new(io::ErrorKind::StorageFull, "disk full"))
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let err = Json::Arr(vec![Json::UInt(1)])
+            .write_pretty(&mut Full)
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::StorageFull);
     }
 
     #[test]

@@ -131,10 +131,11 @@ SWEEP OPTIONS:
                         (0: only at completion; default: 10000). A killed
                         sweep resumes from its last campaign checkpoint.
     --batch-width W     Cache layouts simulated per trace pass in
-                        measurement campaigns (default: 16; 1 restores the
-                        one-layout-at-a-time loop). Pure throughput knob:
-                        samples and artifacts are byte-identical at every
-                        width. Also accepted by coord.
+                        convergence steps and measurement campaigns
+                        (default: 16; 1 restores the one-layout-at-a-time
+                        loop). Pure throughput knob: samples and artifacts
+                        are byte-identical at every width. Also accepted
+                        by coord.
     --shards N          Shard across N self-hosted local worker processes
                         (spawns a coordinator plus N `mbcr worker`s);
                         results are byte-identical to a plain sweep
