@@ -101,8 +101,8 @@ pub struct SubmitOptions {
     /// Campaign layouts-per-pass override for this sweep (digest-neutral).
     pub batch_width: Option<usize>,
     /// Persist the submission (queue entry + record journal) and
-    /// finalize into `sweeps/<id>/`. `false` is the compatibility mode
-    /// for the one-shot `coord` / `sweep --shards` paths: the sweep is
+    /// finalize into `sweeps/<id>/`. `false` is the mode of the one-shot
+    /// `sweep --shards` path: the sweep is
     /// ephemeral (dies with the process, resumes from artifact caching
     /// alone) and finalizes at the store root, exactly where a
     /// single-process sweep writes its manifest.
@@ -171,7 +171,7 @@ pub struct SweepStatus {
 
 /// A full progress snapshot of one sweep: per-job statuses (what the
 /// status table renders) plus per-campaign chunk-log progress — the
-/// payload a `Follow` stream ships to `mbcr report --follow`.
+/// payload of the SSE `progress` events `mbcr report --follow` renders.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepSnapshot {
     /// Sweep id.
@@ -841,7 +841,7 @@ impl SweepRegistry {
     }
 
     /// Monotone change counter: bumped on every submission, record and
-    /// state transition. Pollers (the `Follow` stream) compare it to
+    /// state transition. Pollers (the SSE follow stream) compare it to
     /// skip rebuilding record snapshots on no-change ticks; it does
     /// *not* cover campaign chunk-log growth, which streams into the
     /// store without touching the registry — poll

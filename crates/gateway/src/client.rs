@@ -1,6 +1,6 @@
 //! A minimal HTTP/SSE client for the service plane: enough for the CLI
-//! (`mbcr submit/status/report --connect http://…`), the load-storm
-//! bench, and the e2e suites — nothing more.
+//! (`mbcr submit/status/cancel/report --connect http://…`), the
+//! load-storm bench, and the e2e suites — nothing more.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -120,6 +120,34 @@ fn read_response_head<R: BufRead>(reader: &mut R) -> io::Result<(u16, Option<usi
     }
 }
 
+/// Reads a response body: exactly `content_length` bytes when the head
+/// declared a length, else everything up to EOF. The declared length
+/// comes from the peer, so it is never allocated up front: `take` bounds
+/// the read, the buffer grows only with bytes that actually arrive, and
+/// a body shorter than declared is [`io::ErrorKind::UnexpectedEof`].
+fn read_body<R: Read>(reader: &mut R, content_length: Option<usize>) -> io::Result<Vec<u8>> {
+    let mut body = Vec::new();
+    match content_length {
+        Some(length) => {
+            let limit = u64::try_from(length).unwrap_or(u64::MAX);
+            reader.by_ref().take(limit).read_to_end(&mut body)?;
+            if body.len() < length {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    format!(
+                        "response body ended after {} of {length} declared bytes",
+                        body.len()
+                    ),
+                ));
+            }
+        }
+        None => {
+            reader.read_to_end(&mut body)?;
+        }
+    }
+    Ok(body)
+}
+
 /// Performs one request against `addr` (a `host:port`) and reads the
 /// whole response. Bodies are compact JSON; connections are one-shot
 /// (`Connection: close`), matching the server.
@@ -136,16 +164,7 @@ pub fn request(addr: &str, method: &str, path: &str, body: Option<&Json>) -> io:
     write_request(&mut writer, method, addr, path, body)?;
     let mut reader = BufReader::new(stream);
     let (status, content_length) = read_response_head(&mut reader)?;
-    let mut body = Vec::new();
-    match content_length {
-        Some(length) => {
-            body.resize(length, 0);
-            reader.read_exact(&mut body)?;
-        }
-        None => {
-            reader.read_to_end(&mut body)?;
-        }
-    }
+    let body = read_body(&mut reader, content_length)?;
     Ok(Response { status, body })
 }
 
@@ -167,16 +186,7 @@ pub fn open_sse(addr: &str, path: &str) -> io::Result<SseReader<BufReader<TcpStr
     let mut reader = BufReader::new(stream);
     let (status, content_length) = read_response_head(&mut reader)?;
     if status != 200 {
-        let mut body = Vec::new();
-        match content_length {
-            Some(length) => {
-                body.resize(length, 0);
-                reader.read_exact(&mut body)?;
-            }
-            None => {
-                reader.read_to_end(&mut body)?;
-            }
-        }
+        let body = read_body(&mut reader, content_length)?;
         return Err(io::Error::other(format!(
             "HTTP {status}: {}",
             Response { status, body }.error_text()
@@ -240,6 +250,65 @@ mod tests {
             body: b"boom".to_vec(),
         };
         assert_eq!(raw.error_text(), "boom");
+    }
+
+    /// Serves one canned response to the first connection on a local
+    /// listener, returning its address.
+    fn canned_server(response: &'static [u8]) -> (String, std::thread::JoinHandle<()>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            // Drain the request head before answering and closing.
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut line = String::new();
+            while reader.read_line(&mut line).unwrap() > 0 && line != "\r\n" {
+                line.clear();
+            }
+            stream.write_all(response).unwrap();
+        });
+        (addr, server)
+    }
+
+    #[test]
+    fn hostile_content_lengths_are_short_bodies_not_allocations() {
+        // Neither length may be reserved before the body arrives: the
+        // first overflowed `Vec` capacity, the second aborted on
+        // allocation. Both bodies end early, so both reads are torn.
+        for head in [
+            &b"HTTP/1.1 200 OK\r\nContent-Length: 18446744073709551615\r\n\r\n{}"[..],
+            &b"HTTP/1.1 200 OK\r\nContent-Length: 1099511627776\r\n\r\n{}"[..],
+        ] {
+            let (addr, server) = canned_server(head);
+            let err = request(&addr, "GET", "/v1/sweeps", None).expect_err("short body");
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+            server.join().unwrap();
+        }
+        // The same guard on the SSE path's error body.
+        for head in [
+            &b"HTTP/1.1 404 Not Found\r\nContent-Length: 18446744073709551615\r\n\r\n{}"[..],
+            &b"HTTP/1.1 404 Not Found\r\nContent-Length: 1099511627776\r\n\r\n{}"[..],
+        ] {
+            let (addr, server) = canned_server(head);
+            let err = open_sse(&addr, "/v1/sweeps/x/events").expect_err("short body");
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+            server.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn exact_and_unlengthed_bodies_read_whole() {
+        let (addr, server) = canned_server(b"HTTP/1.1 201 Created\r\nContent-Length: 2\r\n\r\n{}");
+        let response = request(&addr, "POST", "/v1/sweeps", None).unwrap();
+        assert_eq!(
+            (response.status, response.body.as_slice()),
+            (201, &b"{}"[..])
+        );
+        server.join().unwrap();
+        let (addr, server) = canned_server(b"HTTP/1.1 200 OK\r\n\r\n{\"a\":1}");
+        let response = request(&addr, "GET", "/v1/sweeps", None).unwrap();
+        assert_eq!(response.body, b"{\"a\":1}");
+        server.join().unwrap();
     }
 
     #[test]

@@ -9,8 +9,12 @@
 //! This crate is deliberately policy-free: it knows requests, responses
 //! and event streams, never sweeps. The `mbcr-shard` coordinator mounts
 //! the actual routes (`POST /v1/sweeps`, `GET /v1/sweeps/{id}/events`,
-//! `GET /v1/metrics`, …) on top, and `mbcr report --connect http://…`
-//! uses the client half to follow them.
+//! `GET /v1/metrics`, …) on top, and every client verb of the CLI
+//! (`mbcr submit`, `status`, `cancel`, `report --connect http://…`)
+//! speaks them through the client half — HTTP is the daemon's only
+//! client surface. The client trusts response heads no more than the
+//! server trusts requests: a declared `Content-Length` bounds the body
+//! read but is never allocated up front.
 //!
 //! The server-side parser treats the network as hostile, mirroring the
 //! binary protocol's discipline:

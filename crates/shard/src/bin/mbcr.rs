@@ -7,21 +7,24 @@
 //! mbcr sweep --benchmarks bs,cnt --geometries 4096:2:32,2048:2:32 --seeds 1,2
 //! mbcr sweep --spec campaign.json --out mbcr-runs/campaign
 //! mbcr sweep --benchmarks bs --shards 4          # self-hosted sharding
-//! mbcr serve --listen 127.0.0.1:4870 --out mbcr-runs/service   # daemon
-//! mbcr submit --connect 127.0.0.1:4870 --spec campaign.json
-//! mbcr status --connect 127.0.0.1:4870
-//! mbcr cancel --connect 127.0.0.1:4870 --sweep s001-campaign
-//! mbcr report --connect 127.0.0.1:4870 --follow --sweep s001-campaign
-//! mbcr coord --spec campaign.json --listen 127.0.0.1:4870   # one-shot
+//! mbcr serve --listen 127.0.0.1:4870 --http 127.0.0.1:4871 \
+//!            --out mbcr-runs/service             # daemon: workers + clients
 //! mbcr worker --connect 127.0.0.1:4870 --jobs 4  # on any host
+//! mbcr submit --connect http://127.0.0.1:4871 --spec campaign.json
+//! mbcr status --connect http://127.0.0.1:4871
+//! mbcr cancel --connect http://127.0.0.1:4871 --sweep s001-campaign
+//! mbcr report --connect http://127.0.0.1:4871 --follow --sweep s001-campaign
 //! mbcr report --out mbcr-runs/campaign
 //! ```
+//!
+//! Workers speak the framed shard protocol on the daemon's `--listen`
+//! address; every client verb speaks HTTP to its `--http` gateway.
 //!
 //! Argument parsing is hand-rolled: the build environment is offline, so
 //! no `clap`.
 
 use std::io;
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::process::{Child, Command, ExitCode, Stdio};
 use std::time::{Duration, Instant};
 
@@ -29,7 +32,7 @@ use mbcr::{analyze_pub_tac, render_report, AnalysisConfig};
 use mbcr_engine::{
     aggregate_rows, render_rows, run_sweep, AnalysisKind, ArtifactStore, EngineError, GeometrySpec,
     InputSelection, JobSummary, Registry, RunOptions, SweepOutcome, SweepSnapshot, SweepSpec,
-    SweepState,
+    SweepState, SweepStatus,
 };
 use mbcr_ir::{
     classify, group_inputs_by_path, validate_classification, Diagnostic, Inputs, PathSpace,
@@ -38,9 +41,7 @@ use mbcr_json::{Json, Serialize};
 use mbcr_malardalen::Benchmark;
 use mbcr_pub::PubConfig;
 use mbcr_shard::{
-    lint_program,
-    protocol::{self, Message},
-    run_worker, serve, serve_daemon_with, CoordSettings, GatewayOptions,
+    lint_program, protocol, run_worker, serve, serve_daemon_with, CoordSettings, GatewayOptions,
 };
 
 const USAGE: &str = "mbcr — batch PUB + TAC + MBPTA analysis engine (DAC'18 reproduction)
@@ -65,15 +66,14 @@ COMMANDS:
     trace               Run a sweep with span tracing on and export the
                         merged timeline as Chrome-trace-event JSON
                         (chrome://tracing / Perfetto loadable)
-    serve               Run the multi-sweep service daemon (accepts
-                        submissions from clients, schedules them across one
-                        worker fleet, resumes its queue after a kill)
-    submit              Queue a sweep on a running service daemon
-    status              Show a daemon's sweep queue
-    cancel              Cancel a queued/running sweep on a daemon
-    coord               One-shot: serve a single campaign's stage jobs to
-                        TCP workers, then exit (thin wrapper over serve)
-    worker              Execute stage jobs for a coordinator or daemon
+    serve               Run the multi-sweep service daemon (workers connect
+                        to --listen, clients to the --http gateway;
+                        schedules submissions across one worker fleet,
+                        resumes its queue after a kill)
+    submit              Queue a sweep on a running daemon (over HTTP)
+    status              Show a daemon's sweep queue (over HTTP)
+    cancel              Cancel a queued/running sweep (over HTTP)
+    worker              Execute stage jobs for a daemon or a sharded sweep
     report              Re-render the Table 2 summary of an existing run,
                         or follow a daemon's live progress (--follow)
     loadgen             Load-storm bench: spawn a daemon, submit a storm of
@@ -134,8 +134,7 @@ SWEEP OPTIONS:
                         convergence steps and measurement campaigns
                         (default: 16; 1 restores the one-layout-at-a-time
                         loop). Pure throughput knob: samples and artifacts
-                        are byte-identical at every width. Also accepted
-                        by coord.
+                        are byte-identical at every width.
     --shards N          Shard across N self-hosted local worker processes
                         (spawns a coordinator plus N `mbcr worker`s);
                         results are byte-identical to a plain sweep
@@ -153,8 +152,8 @@ TRACE OPTIONS (all SWEEP spec options, plus):
                         'events': raw span-event dump (mbcr-obs/1)
 
 SERVE OPTIONS:
-    --listen ADDR       TCP address to bind (e.g. 127.0.0.1:4870; port 0
-                        picks one and prints it)
+    --listen ADDR       TCP address workers connect to (e.g.
+                        127.0.0.1:4870; port 0 picks one and prints it)
     --out DIR           The service's artifact store (default:
                         mbcr-runs/service). Holds the shared content-
                         addressed jobs/ and stages/, the durable sweep
@@ -162,15 +161,20 @@ SERVE OPTIONS:
     --lease-ttl SECS    Declare a silent worker dead and requeue its jobs
                         after SECS (default: 30; connection loss requeues
                         immediately)
-    --http ADDR         Also serve the HTTP/JSON + SSE gateway on ADDR
-                        (POST/GET/DELETE /v1/sweeps, /v1/sweeps/ID/events,
-                        /v1/metrics; port 0 picks one and prints it)
+    --http ADDR         Serve the HTTP/JSON + SSE gateway on ADDR: the
+                        client surface that submit, status, cancel and
+                        report --connect talk to (POST/GET/DELETE
+                        /v1/sweeps, /v1/sweeps/ID/events, /v1/metrics;
+                        port 0 picks one and prints it). Without it the
+                        daemon takes no submissions and only works off
+                        the queue it resumed
     --spawn-workers MIN..MAX  Autoscale local worker processes between MIN
                         and MAX from queue depth (SIGTERM-drained back to
                         MIN when the queue empties)
 
 SUBMIT OPTIONS (all SWEEP spec options, plus):
-    --connect ADDR      The daemon to submit to
+    --connect URL       The daemon's gateway, http://HOST:PORT (its
+                        --http address)
     --force             Re-execute jobs even when cached artifacts exist
     --checkpoint-interval N  As for sweep, scoped to this submission
     --priority N        Fair-share weight (default 1): a priority-3 sweep
@@ -178,20 +182,14 @@ SUBMIT OPTIONS (all SWEEP spec options, plus):
     --max-concurrent N  Cap this sweep's concurrently leased jobs
 
 STATUS / CANCEL OPTIONS:
-    --connect ADDR      The daemon to query
+    --connect URL       The daemon's gateway, http://HOST:PORT
     --sweep ID          Restrict to (status) or target (cancel) one sweep.
                         status exits nonzero when the targeted sweep was
                         canceled or has failed jobs
 
-COORD OPTIONS (all SWEEP options except --threads/--shards, plus):
-    --listen ADDR       TCP address to bind (e.g. 127.0.0.1:4870; port 0
-                        picks one and prints it)
-    --lease-ttl SECS    Declare a silent worker dead and requeue its jobs
-                        after SECS (default: 30; connection loss requeues
-                        immediately)
-
 WORKER OPTIONS:
-    --connect ADDR      Coordinator address (retries while it comes up).
+    --connect ADDR      The daemon's --listen address (retries while it
+                        comes up).
                         SIGTERM drains gracefully: the in-flight campaign
                         chunk is checkpointed and flushed, leases handed
                         back, and the worker exits cleanly
@@ -202,12 +200,12 @@ REPORT OPTIONS:
                         per-campaign progress even without a manifest
     --sweep ID          With --out: summarize one sweeps/<id>/ scope of a
                         service store. With --connect: pick the sweep
-    --connect ADDR      Ask a running daemon instead of reading a store.
-                        ADDR may be a binary-protocol host:port or an
-                        http://host:port gateway (SSE). Exits nonzero when
-                        a reported sweep was canceled or has failed jobs
+    --connect URL       Ask a running daemon's gateway (http://HOST:PORT)
+                        instead of reading a store. Exits nonzero when a
+                        reported sweep was canceled or has failed jobs
     --follow            With --connect: stream live per-stage/per-campaign
-                        progress until the sweep(s) complete, reconnecting
+                        progress (SSE) until the sweep completes — without
+                        --sweep, each listed sweep in turn — reconnecting
                         with capped backoff across transient stream loss
 
 LOADGEN OPTIONS:
@@ -247,7 +245,6 @@ fn dispatch(args: &[String]) -> Result<ExitCode, EngineError> {
         Some("submit") => submit(&args[1..]),
         Some("status") => status(&args[1..]),
         Some("cancel") => cancel(&args[1..]),
-        Some("coord") => coord(&args[1..]),
         Some("worker") => worker(&args[1..]),
         Some("report") => report(&args[1..]),
         Some("loadgen") => loadgen(&args[1..]),
@@ -1070,63 +1067,9 @@ fn trace_cmd(args: &[String]) -> Result<ExitCode, EngineError> {
     })
 }
 
-fn coord(args: &[String]) -> Result<ExitCode, EngineError> {
-    let mut flags = Flags::new(args);
-    let spec = spec_from_flags(&mut flags)?;
-    let out = flags
-        .value("--out")?
-        .map_or_else(|| format!("mbcr-runs/{}", spec.name), str::to_string);
-    let listen = flags
-        .value("--listen")?
-        .ok_or_else(|| EngineError::Spec("coord needs --listen ADDR".into()))?
-        .to_string();
-    let checkpoint_interval = match flags.value("--checkpoint-interval")? {
-        Some(text) => Some(parse_u64("--checkpoint-interval", text)? as usize),
-        None => None,
-    };
-    let batch_width = match flags.value("--batch-width")? {
-        Some(text) => Some(parse_u64("--batch-width", text)? as usize),
-        None => None,
-    };
-    let lease_ttl = match flags.value("--lease-ttl")? {
-        Some(text) => Duration::from_secs(parse_u64("--lease-ttl", text)?),
-        None => CoordSettings::default().lease_ttl,
-    };
-    let force = flags.switch("--force");
-    flags.reject_unknown()?;
-    if let Some(extra) = flags.positionals().first() {
-        return Err(EngineError::Spec(format!("unexpected argument '{extra}'")));
-    }
-
-    // Long-lived process: metrics live by default (MBCR_OBS=0 opts out).
-    mbcr_obs::enable_for_service();
-    let store = ArtifactStore::open(&out)?;
-    let registry = Registry::malardalen();
-    let listener = TcpListener::bind(&listen)?;
-    // Parseable by scripts (and by port-0 users who need the real port).
-    println!("coordinator listening on {}", listener.local_addr()?);
-    let settings = CoordSettings {
-        run: RunOptions {
-            threads: 0,
-            force,
-            checkpoint_interval,
-            batch_width,
-            prescreen: false,
-        },
-        lease_ttl,
-    };
-    let outcome = serve(&spec, &registry, &store, &settings, &listener)?;
-    print_outcome(&outcome, &store);
-    Ok(if outcome.failed == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    })
-}
-
 /// `mbcr serve`: the long-lived multi-sweep daemon. Resumes any queue
-/// persisted in the store, then accepts worker and client connections
-/// until killed.
+/// persisted in the store, then serves workers on `--listen` and clients
+/// on the `--http` gateway until killed.
 fn serve_cmd(args: &[String]) -> Result<ExitCode, EngineError> {
     let mut flags = Flags::new(args);
     let listen = flags
@@ -1191,46 +1134,103 @@ fn parse_spawn_workers(text: &str) -> Result<(usize, usize), EngineError> {
     Ok((min, max))
 }
 
-/// Connects to a daemon and completes the protocol handshake.
-fn client_connect(addr: &str) -> Result<TcpStream, EngineError> {
-    let client_error = |message: String| EngineError::Analysis(message);
-    let mut stream =
-        TcpStream::connect(addr).map_err(|e| client_error(format!("connecting to {addr}: {e}")))?;
-    stream
-        .set_nodelay(true)
-        .map_err(|e| client_error(e.to_string()))?;
-    protocol::send(
-        &mut stream,
-        &Message::Hello {
-            schema: protocol::wire_schema(),
-        },
-    )
-    .map_err(|e| client_error(format!("handshake with {addr}: {e}")))?;
-    match protocol::receive(&mut stream).map_err(|e| client_error(e.to_string()))? {
-        Some(Message::Welcome { schema }) if schema == protocol::wire_schema() => Ok(stream),
-        Some(Message::Welcome { schema }) => Err(client_error(format!(
-            "service speaks '{schema}', this client '{}'",
-            protocol::wire_schema()
-        ))),
-        Some(Message::Reject { reason }) => Err(client_error(format!(
-            "service refused the handshake: {reason}"
-        ))),
-        Some(other) => Err(client_error(format!(
-            "expected welcome, got {}",
-            other.to_json().to_compact()
-        ))),
-        None => Err(client_error(
-            "service closed the connection during the handshake".to_string(),
-        )),
-    }
+/// Resolves `--connect` to the `host:port` of a daemon's HTTP gateway.
+/// Clients speak HTTP only, so a bare `host:port` (the worker listener's
+/// form) is a usage error that names the URL form.
+fn gateway_addr(connect: &str) -> Result<String, EngineError> {
+    mbcr_gateway::parse_url(connect)
+        .map(|(addr, _)| addr)
+        .ok_or_else(|| {
+            EngineError::Spec(format!(
+                "--connect takes the daemon's gateway URL, http://HOST:PORT \
+                 (its serve --http address), not '{connect}'"
+            ))
+        })
 }
 
-/// One request/response exchange with a daemon.
-fn client_request(stream: &mut TcpStream, request: &Message) -> Result<Message, EngineError> {
-    protocol::send(stream, request).map_err(|e| EngineError::Analysis(e.to_string()))?;
-    protocol::receive(stream)
-        .map_err(|e| EngineError::Analysis(e.to_string()))?
-        .ok_or_else(|| EngineError::Analysis("service closed the connection".to_string()))
+/// The required `--connect URL` of a client verb, resolved.
+fn connect_flag(flags: &mut Flags<'_>, verb: &str) -> Result<String, EngineError> {
+    let connect = flags
+        .value("--connect")?
+        .ok_or_else(|| EngineError::Spec(format!("{verb} needs --connect http://HOST:PORT")))?;
+    gateway_addr(connect)
+}
+
+/// `POST /v1/sweeps`: submits `body` and returns the durable sweep id.
+/// Shared by `submit` and `loadgen`.
+fn post_sweep(addr: &str, body: &Json) -> Result<String, EngineError> {
+    let fail = |what: String| EngineError::Analysis(format!("POST /v1/sweeps: {what}"));
+    let response = mbcr_gateway::request(addr, "POST", "/v1/sweeps", Some(body))
+        .map_err(|e| fail(e.to_string()))?;
+    if response.status != 201 {
+        return Err(fail(format!(
+            "HTTP {}: {}",
+            response.status,
+            response.error_text()
+        )));
+    }
+    response
+        .json()
+        .as_ref()
+        .and_then(|doc| doc.get("sweep"))
+        .and_then(Json::as_str)
+        .map(str::to_string)
+        .ok_or_else(|| fail("no 'sweep' id in the response".into()))
+}
+
+/// `GET /v1/sweeps`: one status row per sweep, in submission order.
+/// Shared by `status`, `report --connect` and loadgen's poll.
+fn fetch_statuses(addr: &str) -> Result<Vec<SweepStatus>, EngineError> {
+    let fail = |what: String| EngineError::Analysis(format!("GET /v1/sweeps: {what}"));
+    let response =
+        mbcr_gateway::request(addr, "GET", "/v1/sweeps", None).map_err(|e| fail(e.to_string()))?;
+    if response.status != 200 {
+        return Err(fail(format!(
+            "HTTP {}: {}",
+            response.status,
+            response.error_text()
+        )));
+    }
+    response
+        .json()
+        .as_ref()
+        .and_then(|doc| {
+            doc.get("sweeps")?
+                .as_array()?
+                .iter()
+                .map(protocol::status_from_json)
+                .collect()
+        })
+        .ok_or_else(|| fail("malformed status body".into()))
+}
+
+/// The rows `status` and `report --connect` print: every sweep, or only
+/// `sweep` (an unknown id is an error). The exit code is nonzero when
+/// the targeted sweep was canceled or has failed jobs — so `--sweep ID`
+/// doubles as a health probe for that sweep.
+fn status_rows(
+    addr: &str,
+    sweep: Option<&str>,
+) -> Result<(Vec<SweepStatus>, ExitCode), EngineError> {
+    let mut rows = fetch_statuses(addr)?;
+    let Some(id) = sweep else {
+        return Ok((rows, ExitCode::SUCCESS));
+    };
+    rows.retain(|s| s.id == id);
+    if rows.is_empty() {
+        return Err(EngineError::Spec(format!("unknown sweep '{id}'")));
+    }
+    let unhealthy = rows
+        .iter()
+        .any(|s| s.state == SweepState::Canceled || s.failed > 0);
+    Ok((
+        rows,
+        if unhealthy {
+            ExitCode::from(1)
+        } else {
+            ExitCode::SUCCESS
+        },
+    ))
 }
 
 /// `mbcr submit`: queue a sweep on a running daemon. The sweep id printed
@@ -1238,21 +1238,18 @@ fn client_request(stream: &mut TcpStream, request: &Message) -> Result<Message, 
 /// `report --follow`, `status` and `cancel`.
 fn submit(args: &[String]) -> Result<ExitCode, EngineError> {
     let mut flags = Flags::new(args);
-    let connect = flags
-        .value("--connect")?
-        .ok_or_else(|| EngineError::Spec("submit needs --connect ADDR".into()))?
-        .to_string();
+    let addr = connect_flag(&mut flags, "submit")?;
     let spec = spec_from_flags(&mut flags)?;
     let checkpoint_interval = match flags.value("--checkpoint-interval")? {
-        Some(text) => Some(parse_u64("--checkpoint-interval", text)? as usize),
+        Some(text) => Some(parse_u64("--checkpoint-interval", text)?),
         None => None,
     };
     let priority = match flags.value("--priority")? {
-        Some(text) => u32::try_from(parse_u64("--priority", text)?).unwrap_or(u32::MAX),
+        Some(text) => parse_u64("--priority", text)?,
         None => 1,
     };
     let max_concurrent = match flags.value("--max-concurrent")? {
-        Some(text) => Some(parse_u64("--max-concurrent", text)? as usize),
+        Some(text) => Some(parse_u64("--max-concurrent", text)?),
         None => None,
     };
     let force = flags.switch("--force");
@@ -1261,112 +1258,76 @@ fn submit(args: &[String]) -> Result<ExitCode, EngineError> {
         return Err(EngineError::Spec(format!("unexpected argument '{extra}'")));
     }
 
-    let mut stream = client_connect(&connect)?;
-    let request = Message::Submit {
-        spec: spec.to_json(),
-        force,
-        checkpoint_interval,
-        priority,
-        max_concurrent,
-    };
-    match client_request(&mut stream, &request)? {
-        Message::Submitted { sweep } => {
-            println!("submitted {sweep}");
-            Ok(ExitCode::SUCCESS)
-        }
-        Message::Reject { reason } => {
-            eprintln!("mbcr: submission rejected: {reason}");
-            Ok(ExitCode::from(1))
-        }
-        other => Err(EngineError::Analysis(format!(
-            "unexpected reply: {}",
-            other.to_json().to_compact()
-        ))),
-    }
+    let body = Json::Obj(vec![
+        ("spec".to_string(), spec.to_json()),
+        ("force".to_string(), Json::Bool(force)),
+        (
+            "checkpoint_interval".to_string(),
+            Serialize::to_json(&checkpoint_interval),
+        ),
+        ("priority".to_string(), Json::UInt(priority)),
+        (
+            "max_concurrent".to_string(),
+            Serialize::to_json(&max_concurrent),
+        ),
+    ]);
+    println!("submitted {}", post_sweep(&addr, &body)?);
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `mbcr status`: one row per sweep in the daemon's queue.
 fn status(args: &[String]) -> Result<ExitCode, EngineError> {
     let mut flags = Flags::new(args);
-    let connect = flags
-        .value("--connect")?
-        .ok_or_else(|| EngineError::Spec("status needs --connect ADDR".into()))?
-        .to_string();
-    let sweep = flags.value("--sweep")?.map(str::to_string);
+    let addr = connect_flag(&mut flags, "status")?;
+    let sweep = flags.value("--sweep")?;
     flags.reject_unknown()?;
 
-    let targeted = sweep.is_some();
-    let mut stream = client_connect(&connect)?;
-    match client_request(&mut stream, &Message::Status { sweep })? {
-        Message::StatusReport { sweeps } => {
-            println!(
-                "{:<24} {:<20} {:<9} {:>9} {:>9} {:>8} {:>7}",
-                "sweep", "name", "state", "done", "executed", "cached", "failed"
-            );
-            println!("{}", "-".repeat(92));
-            for s in &sweeps {
-                println!(
-                    "{:<24} {:<20} {:<9} {:>5}/{:<3} {:>9} {:>8} {:>7}",
-                    s.id,
-                    s.name,
-                    s.state.name(),
-                    s.done,
-                    s.total,
-                    s.executed,
-                    s.skipped,
-                    s.failed
-                );
-            }
-            // Scriptable: `mbcr status --sweep ID` doubles as a health
-            // probe for that sweep.
-            if targeted
-                && sweeps
-                    .iter()
-                    .any(|s| s.state == SweepState::Canceled || s.failed > 0)
-            {
-                return Ok(ExitCode::from(1));
-            }
-            Ok(ExitCode::SUCCESS)
-        }
-        Message::Reject { reason } => {
-            eprintln!("mbcr: {reason}");
-            Ok(ExitCode::from(1))
-        }
-        other => Err(EngineError::Analysis(format!(
-            "unexpected reply: {}",
-            other.to_json().to_compact()
-        ))),
+    let (rows, code) = status_rows(&addr, sweep)?;
+    println!(
+        "{:<24} {:<20} {:<9} {:>9} {:>9} {:>8} {:>7}",
+        "sweep", "name", "state", "done", "executed", "cached", "failed"
+    );
+    println!("{}", "-".repeat(92));
+    for s in &rows {
+        println!(
+            "{:<24} {:<20} {:<9} {:>5}/{:<3} {:>9} {:>8} {:>7}",
+            s.id,
+            s.name,
+            s.state.name(),
+            s.done,
+            s.total,
+            s.executed,
+            s.skipped,
+            s.failed
+        );
     }
+    Ok(code)
 }
 
-/// `mbcr cancel`: cancel one sweep on a daemon.
+/// `mbcr cancel`: cancel one sweep on a daemon (`DELETE /v1/sweeps/{id}`).
 fn cancel(args: &[String]) -> Result<ExitCode, EngineError> {
     let mut flags = Flags::new(args);
-    let connect = flags
-        .value("--connect")?
-        .ok_or_else(|| EngineError::Spec("cancel needs --connect ADDR".into()))?
-        .to_string();
+    let addr = connect_flag(&mut flags, "cancel")?;
     let sweep = flags
         .value("--sweep")?
-        .ok_or_else(|| EngineError::Spec("cancel needs --sweep ID".into()))?
-        .to_string();
+        .ok_or_else(|| EngineError::Spec("cancel needs --sweep ID".into()))?;
     flags.reject_unknown()?;
 
-    let mut stream = client_connect(&connect)?;
-    match client_request(&mut stream, &Message::Cancel { sweep })? {
-        Message::Cancelled { sweep, state } => {
-            println!("{sweep}: {state}");
-            Ok(ExitCode::SUCCESS)
-        }
-        Message::Reject { reason } => {
-            eprintln!("mbcr: {reason}");
-            Ok(ExitCode::from(1))
-        }
-        other => Err(EngineError::Analysis(format!(
-            "unexpected reply: {}",
-            other.to_json().to_compact()
-        ))),
+    let path = format!("/v1/sweeps/{sweep}");
+    let response = mbcr_gateway::request(&addr, "DELETE", &path, None)
+        .map_err(|e| EngineError::Analysis(format!("DELETE {path}: {e}")))?;
+    if response.status != 200 {
+        eprintln!("mbcr: HTTP {}: {}", response.status, response.error_text());
+        return Ok(ExitCode::from(1));
     }
+    let doc = response.json();
+    let state = doc
+        .as_ref()
+        .and_then(|doc| doc.get("state"))
+        .and_then(Json::as_str)
+        .ok_or_else(|| EngineError::Analysis(format!("DELETE {path}: no 'state' in the reply")))?;
+    println!("{sweep}: {state}");
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Renders one live progress snapshot (`report --follow`).
@@ -1399,111 +1360,55 @@ fn render_snapshot(snapshot: &SweepSnapshot) {
 
 /// Reconnect pacing for `report --follow`: a lost stream retries with
 /// doubling backoff from 250 ms, capped at 5 s; this many *consecutive*
-/// failures (any received frame resets the count) give up.
+/// failures (any received event resets the count) give up.
 const FOLLOW_RETRY_START: Duration = Duration::from_millis(250);
 const FOLLOW_RETRY_CAP: Duration = Duration::from_secs(5);
 const FOLLOW_RETRY_LIMIT: u32 = 8;
 
-/// The exit code the follow modes end with: nonzero when any followed
-/// sweep was canceled or finished with failed jobs, so `report --follow`
-/// doubles as a wait-for-success in scripts and CI.
-fn follow_exit(outcomes: &std::collections::HashMap<String, (SweepState, usize)>) -> ExitCode {
-    let bad = outcomes
-        .values()
-        .any(|&(state, failed)| state == SweepState::Canceled || failed > 0);
-    if bad {
+/// `mbcr report --connect URL --follow [--sweep ID]`: streams one sweep
+/// until it ends — or, without `--sweep`, each sweep `GET /v1/sweeps`
+/// lists, one after another. Exits nonzero when any followed sweep was
+/// canceled or finished with failed jobs, so it doubles as a
+/// wait-for-success in scripts and CI.
+fn follow_sweeps(addr: &str, sweep: Option<&str>) -> Result<ExitCode, EngineError> {
+    let ids = match sweep {
+        Some(id) => vec![id.to_string()],
+        None => fetch_statuses(addr)?.into_iter().map(|s| s.id).collect(),
+    };
+    let mut unhealthy = false;
+    for id in &ids {
+        unhealthy |= follow_sse(addr, id)?;
+    }
+    Ok(if unhealthy {
         ExitCode::from(1)
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }
 
-/// `mbcr report --connect --follow`: stream a daemon's progress until the
-/// chosen sweep(s) complete, reconnecting with capped backoff when the
-/// stream dies mid-sweep (daemon restart, transient network) — the
-/// registry is durable, so a reconnect resumes exactly where the queue
-/// stands.
-fn follow_daemon(connect: &str, sweep: Option<String>) -> Result<ExitCode, EngineError> {
-    let mut outcomes = std::collections::HashMap::new();
-    let mut backoff = FOLLOW_RETRY_START;
-    let mut failures = 0u32;
-    loop {
-        match follow_daemon_once(connect, sweep.clone(), &mut outcomes, &mut failures) {
-            Ok(code) => return Ok(code),
-            Err(e) => {
-                failures += 1;
-                if failures > FOLLOW_RETRY_LIMIT {
-                    return Err(e);
-                }
-                eprintln!("mbcr: follow stream lost ({e}); reconnecting in {backoff:?}");
-                std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(FOLLOW_RETRY_CAP);
-            }
-        }
-    }
-}
-
-/// One binary-protocol follow attempt. Frames reaching the snapshot
-/// handler reset the caller's consecutive-failure counter; an EOF before
-/// `FollowEnd` is the transient-loss signal the caller retries on.
-fn follow_daemon_once(
-    connect: &str,
-    sweep: Option<String>,
-    outcomes: &mut std::collections::HashMap<String, (SweepState, usize)>,
-    failures: &mut u32,
-) -> Result<ExitCode, EngineError> {
-    let mut stream = client_connect(connect)?;
-    protocol::send(&mut stream, &Message::Follow { sweep })
-        .map_err(|e| EngineError::Analysis(e.to_string()))?;
-    loop {
-        match protocol::receive(&mut stream).map_err(|e| EngineError::Analysis(e.to_string()))? {
-            Some(Message::Progress(snapshot)) => {
-                *failures = 0;
-                outcomes.insert(
-                    snapshot.id.clone(),
-                    (
-                        snapshot.state,
-                        snapshot
-                            .jobs
-                            .iter()
-                            .filter(|(_, s, _)| s == "failed")
-                            .count(),
-                    ),
-                );
-                render_snapshot(&snapshot);
-            }
-            Some(Message::FollowEnd) => return Ok(follow_exit(outcomes)),
-            None => {
-                return Err(EngineError::Analysis(
-                    "follow stream closed before the sweep finished".to_string(),
-                ))
-            }
-            Some(Message::Reject { reason }) => {
-                eprintln!("mbcr: {reason}");
-                return Ok(ExitCode::from(1));
-            }
-            Some(other) => {
-                return Err(EngineError::Analysis(format!(
-                    "unexpected frame: {}",
-                    other.to_json().to_compact()
-                )))
-            }
-        }
-    }
-}
-
-/// `mbcr report --connect http://… --follow`: the same follow loop over
-/// the gateway's SSE stream, with the same capped-backoff reconnects —
+/// Follows one sweep's SSE stream (`GET /v1/sweeps/{id}/events`) to its
+/// `end` event, reconnecting with capped backoff when the stream dies
+/// mid-sweep (daemon restart, transient network) — the registry is
+/// durable, so a reconnect resumes exactly where the queue stands.
 /// [`mbcr_gateway::SseReader`] surfaces a mid-event EOF as
 /// `UnexpectedEof`, which lands in the retry path instead of trusting a
-/// half-delivered frame.
-fn follow_sse(addr: &str, id: &str) -> Result<ExitCode, EngineError> {
-    let mut outcomes = std::collections::HashMap::new();
+/// half-delivered frame; an HTTP refusal (an unknown sweep) is final.
+/// Returns whether the sweep ended canceled or with failed jobs.
+fn follow_sse(addr: &str, id: &str) -> Result<bool, EngineError> {
+    let mut last = None;
     let mut backoff = FOLLOW_RETRY_START;
     let mut failures = 0u32;
     loop {
-        match follow_sse_once(addr, id, &mut outcomes, &mut failures) {
-            Ok(code) => return Ok(code),
+        match follow_sse_once(addr, id, &mut last, &mut failures) {
+            Ok(()) => {
+                return Ok(
+                    last.is_some_and(|(state, failed)| state == SweepState::Canceled || failed > 0)
+                )
+            }
+            // `open_sse` reports a non-200 answer as `Other`.
+            Err(e) if e.kind() == io::ErrorKind::Other => {
+                return Err(EngineError::Analysis(e.to_string()))
+            }
             Err(e) => {
                 failures += 1;
                 if failures > FOLLOW_RETRY_LIMIT {
@@ -1517,12 +1422,16 @@ fn follow_sse(addr: &str, id: &str) -> Result<ExitCode, EngineError> {
     }
 }
 
+/// One SSE follow attempt: renders each progress snapshot, recording the
+/// latest (state, failed-job count) in `last`; any received snapshot
+/// resets the caller's consecutive-failure count. An EOF before the
+/// `end` event is the transient-loss signal the caller retries on.
 fn follow_sse_once(
     addr: &str,
     id: &str,
-    outcomes: &mut std::collections::HashMap<String, (SweepState, usize)>,
+    last: &mut Option<(SweepState, usize)>,
     failures: &mut u32,
-) -> io::Result<ExitCode> {
+) -> io::Result<()> {
     let mut events = mbcr_gateway::open_sse(addr, &format!("/v1/sweeps/{id}/events"))?;
     while let Some(event) = events.next_event()? {
         match event.event.as_str() {
@@ -1538,20 +1447,15 @@ fn follow_sse_once(
                     ));
                 };
                 *failures = 0;
-                outcomes.insert(
-                    snapshot.id.clone(),
-                    (
-                        snapshot.state,
-                        snapshot
-                            .jobs
-                            .iter()
-                            .filter(|(_, s, _)| s == "failed")
-                            .count(),
-                    ),
-                );
+                let failed = snapshot
+                    .jobs
+                    .iter()
+                    .filter(|(_, s, _)| s == "failed")
+                    .count();
+                *last = Some((snapshot.state, failed));
                 render_snapshot(&snapshot);
             }
-            "end" => return Ok(follow_exit(outcomes)),
+            "end" => return Ok(()),
             _ => {}
         }
     }
@@ -1559,66 +1463,6 @@ fn follow_sse_once(
         io::ErrorKind::UnexpectedEof,
         "follow stream closed before the end event",
     ))
-}
-
-/// `mbcr report --connect http://…`: the gateway-backed report path.
-/// One-shot mode lists `GET /v1/sweeps`; `--follow` streams
-/// `GET /v1/sweeps/{id}/events`. Output and exit codes match the binary
-/// protocol path row for row.
-fn report_http(url: &str, sweep: Option<String>, follow: bool) -> Result<ExitCode, EngineError> {
-    let (addr, _) = mbcr_gateway::parse_url(url).ok_or_else(|| {
-        EngineError::Spec(format!("'{url}' is not an http://host:port[/path] URL"))
-    })?;
-    if follow {
-        let id = sweep.ok_or_else(|| {
-            EngineError::Spec(
-                "--follow over http needs --sweep ID (one SSE stream per sweep)".into(),
-            )
-        })?;
-        return follow_sse(&addr, &id);
-    }
-    let response = mbcr_gateway::request(&addr, "GET", "/v1/sweeps", None)
-        .map_err(|e| EngineError::Analysis(format!("GET {url}/v1/sweeps: {e}")))?;
-    if response.status != 200 {
-        eprintln!("mbcr: HTTP {}: {}", response.status, response.error_text());
-        return Ok(ExitCode::from(1));
-    }
-    let doc = response
-        .json()
-        .ok_or_else(|| EngineError::Analysis("non-JSON body from /v1/sweeps".to_string()))?;
-    let rows = doc
-        .get("sweeps")
-        .and_then(Json::as_array)
-        .ok_or_else(|| EngineError::Analysis("missing 'sweeps' in /v1/sweeps body".to_string()))?;
-    let mut sweeps: Vec<_> = rows.iter().filter_map(protocol::status_from_json).collect();
-    if let Some(id) = &sweep {
-        sweeps.retain(|s| &s.id == id);
-        if sweeps.is_empty() {
-            eprintln!("mbcr: unknown sweep '{id}'");
-            return Ok(ExitCode::from(1));
-        }
-    }
-    for s in &sweeps {
-        println!(
-            "{} ({}) [{}]: {}/{} done — {} executed, {} cached, {} failed",
-            s.id,
-            s.name,
-            s.state.name(),
-            s.done,
-            s.total,
-            s.executed,
-            s.skipped,
-            s.failed
-        );
-    }
-    if sweep.is_some()
-        && sweeps
-            .iter()
-            .any(|s| s.state == SweepState::Canceled || s.failed > 0)
-    {
-        return Ok(ExitCode::from(1));
-    }
-    Ok(ExitCode::SUCCESS)
 }
 
 fn worker(args: &[String]) -> Result<ExitCode, EngineError> {
@@ -1659,8 +1503,8 @@ fn worker(args: &[String]) -> Result<ExitCode, EngineError> {
 }
 
 /// The per-stage status table, Table 2, counts and failures of a
-/// finished sweep — identical output for local, coordinated and
-/// self-hosted sharded runs.
+/// finished sweep — identical output for local and self-hosted sharded
+/// runs.
 fn print_outcome(outcome: &SweepOutcome, store: &ArtifactStore) {
     print!(
         "{}",
@@ -1712,54 +1556,31 @@ fn report(args: &[String]) -> Result<ExitCode, EngineError> {
                 "report takes --out or --connect, not both".into(),
             ));
         }
-        // `--connect http://…` goes through the gateway; a bare
-        // `host:port` speaks the binary protocol. Same output, same
-        // exit codes.
-        if connect.starts_with("http://") {
-            return report_http(&connect, sweep, follow);
-        }
+        let addr = gateway_addr(&connect)?;
         if follow {
-            return follow_daemon(&connect, sweep);
+            return follow_sweeps(&addr, sweep.as_deref());
         }
         // A one-shot snapshot of the daemon's queue.
-        let targeted = sweep.is_some();
-        let mut stream = client_connect(&connect)?;
-        return match client_request(&mut stream, &Message::Status { sweep })? {
-            Message::StatusReport { sweeps } => {
-                for s in &sweeps {
-                    println!(
-                        "{} ({}) [{}]: {}/{} done — {} executed, {} cached, {} failed",
-                        s.id,
-                        s.name,
-                        s.state.name(),
-                        s.done,
-                        s.total,
-                        s.executed,
-                        s.skipped,
-                        s.failed
-                    );
-                }
-                if targeted
-                    && sweeps
-                        .iter()
-                        .any(|s| s.state == SweepState::Canceled || s.failed > 0)
-                {
-                    return Ok(ExitCode::from(1));
-                }
-                Ok(ExitCode::SUCCESS)
-            }
-            Message::Reject { reason } => {
-                eprintln!("mbcr: {reason}");
-                Ok(ExitCode::from(1))
-            }
-            other => Err(EngineError::Analysis(format!(
-                "unexpected reply: {}",
-                other.to_json().to_compact()
-            ))),
-        };
+        let (rows, code) = status_rows(&addr, sweep.as_deref())?;
+        for s in &rows {
+            println!(
+                "{} ({}) [{}]: {}/{} done — {} executed, {} cached, {} failed",
+                s.id,
+                s.name,
+                s.state.name(),
+                s.done,
+                s.total,
+                s.executed,
+                s.skipped,
+                s.failed
+            );
+        }
+        return Ok(code);
     }
     if follow {
-        return Err(EngineError::Spec("--follow needs --connect ADDR".into()));
+        return Err(EngineError::Spec(
+            "--follow needs --connect http://HOST:PORT".into(),
+        ));
     }
     let out = out.ok_or_else(|| EngineError::Spec("report needs --out DIR or --connect".into()))?;
 
@@ -2060,24 +1881,8 @@ fn loadgen_run(
             ("priority".to_string(), Json::UInt((i % 3 + 1) as u64)),
         ]);
         let posted = Instant::now();
-        let response = mbcr_gateway::request(&addr, "POST", "/v1/sweeps", Some(&body))
-            .map_err(|e| fail(format!("POST /v1/sweeps: {e}")))?;
+        ids.push(post_sweep(&addr, &body)?);
         http_hist.record(dur_ns(posted.elapsed()));
-        if response.status != 201 {
-            return Err(fail(format!(
-                "POST /v1/sweeps: HTTP {}: {}",
-                response.status,
-                response.error_text()
-            )));
-        }
-        let id = response
-            .json()
-            .as_ref()
-            .and_then(|doc| doc.get("sweep"))
-            .and_then(Json::as_str)
-            .ok_or_else(|| fail("no 'sweep' id in the submit response".into()))?
-            .to_string();
-        ids.push(id);
     }
     println!(
         "loadgen: {} overlapping sweeps submitted over http://{addr}, {} SSE followers",
@@ -2161,16 +1966,8 @@ fn poll_until_terminal(
     let deadline = Instant::now() + Duration::from_secs(600);
     loop {
         let sent = Instant::now();
-        let response = mbcr_gateway::request(addr, "GET", "/v1/sweeps", None)
-            .map_err(|e| EngineError::Analysis(format!("GET /v1/sweeps: {e}")))?;
+        let rows = fetch_statuses(addr)?;
         http_hist.record(dur_ns(sent.elapsed()));
-        let rows: Vec<_> = response
-            .json()
-            .as_ref()
-            .and_then(|doc| doc.get("sweeps"))
-            .and_then(Json::as_array)
-            .map(|rows| rows.iter().filter_map(protocol::status_from_json).collect())
-            .unwrap_or_default();
         if ids
             .iter()
             .all(|id| rows.iter().any(|s| &s.id == id && s.state.terminal()))

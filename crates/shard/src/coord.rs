@@ -1,10 +1,10 @@
 //! The sweep service: a coordinator that owns N concurrent sweeps over
 //! one shared worker fleet and one artifact store.
 //!
-//! Since the service redesign there is no one-coordinator-one-sweep
-//! assumption left: the accept loop serves **workers** (request → job →
-//! done, exactly the shard protocol of old) and **clients** (submit /
-//! status / cancel / follow) over the same listener, and all scheduling
+//! There is no one-coordinator-one-sweep assumption: the accept loop
+//! serves **workers** (request → job → done over the framed shard
+//! protocol) on the binary listener and **clients** (submit / status /
+//! cancel / follow) on the optional HTTP gateway, and all scheduling
 //! state lives in an engine-level [`SweepRegistry`] — fair-share across
 //! sweeps, cross-sweep stage dedup by content digest, the whole queue
 //! persisted in the store so a `kill -9`'d daemon resumes every queued
@@ -12,13 +12,13 @@
 //!
 //! Two driving modes share every line of the machinery:
 //!
-//! * [`serve`] — the one-shot compatibility path (`mbcr coord`,
-//!   `mbcr sweep --shards N`): submit one ephemeral sweep, drain the
-//!   registry, finalize at the store root (byte-identical to a
-//!   single-process `mbcr sweep`), return its outcome.
-//! * [`serve_daemon`] — `mbcr serve --listen`: resume the persisted
-//!   queue, then run until killed, accepting submissions and streaming
-//!   progress to `mbcr report --follow` clients.
+//! * [`serve`] — the one-shot path behind `mbcr sweep --shards N`:
+//!   submit one ephemeral sweep, drain the registry, finalize at the
+//!   store root (byte-identical to a single-process `mbcr sweep`),
+//!   return its outcome.
+//! * [`serve_daemon_with`] — `mbcr serve --listen [--http]`: resume the
+//!   persisted queue, then run until killed, accepting submissions and
+//!   streaming progress to `mbcr report --follow` over the gateway.
 //!
 //! Worker death is detected three ways: a closed connection requeues the
 //! worker's leases immediately, a [`Message::Drain`] frame (graceful
@@ -52,9 +52,9 @@ use crate::protocol::{self, JobResult, Message, Received, SamplePrefix, WireJob}
 /// Coordinator knobs orthogonal to any one sweep's spec.
 #[derive(Debug, Clone, Copy)]
 pub struct CoordSettings {
-    /// Execution options for the compatibility submission of [`serve`]
+    /// Execution options for the one-shot submission of [`serve`]
     /// (thread count is ignored — parallelism is the worker fleet).
-    /// Wire-submitted sweeps carry their own force/checkpoint options.
+    /// Daemon submissions carry their own force/checkpoint options.
     pub run: RunOptions,
     /// Declare a silent worker dead (and requeue its leases) after this
     /// long. Connection loss is detected immediately regardless.
@@ -70,7 +70,7 @@ impl Default for CoordSettings {
     }
 }
 
-/// How often a `Follow` stream re-checks for progress.
+/// How often an SSE follow stream re-checks for progress.
 const FOLLOW_TICK: Duration = Duration::from_millis(200);
 
 /// Most artifact digests remembered as resident per worker. FIFO
@@ -118,7 +118,7 @@ struct Service<'a> {
     store: &'a ArtifactStore,
     settings: CoordSettings,
     /// Runs forever accepting submissions (`true`), or drains the
-    /// registry and returns (`false`, the one-shot compatibility mode).
+    /// registry and returns (`false`, the one-shot mode of [`serve`]).
     daemon: bool,
     state: Mutex<State>,
     /// Set when the accept loop exits (success or error): handlers wind
@@ -191,9 +191,24 @@ pub fn serve(
         .ok_or_else(|| EngineError::Analysis(format!("sweep {id} never finalized")))
 }
 
+/// Service-plane extras for [`serve_daemon_with`], all off by default.
+#[derive(Debug, Default)]
+pub struct GatewayOptions {
+    /// A bound listener for the HTTP/JSON + SSE gateway
+    /// (`mbcr serve --http`): the daemon's client surface, served from
+    /// the same process and registry as the worker listener. Without it
+    /// the daemon takes no submissions and only works off the queue it
+    /// resumed.
+    pub http: Option<TcpListener>,
+    /// `Some((min, max))` spawns and reaps local worker processes from
+    /// queue depth (`mbcr serve --spawn-workers min..max`).
+    pub spawn_workers: Option<(usize, usize)>,
+}
+
 /// Runs the long-lived service daemon (`mbcr serve`): resumes the
-/// store's persisted sweep queue, then accepts worker and client
-/// connections until the process dies. Submissions are durable before
+/// store's persisted sweep queue, then serves workers on `listener` and
+/// clients on the gateway's HTTP listener until the process dies, with a
+/// local worker autoscaler when asked. Submissions are durable before
 /// they are acknowledged, so a `kill -9` loses nothing a restart cannot
 /// resume.
 ///
@@ -201,40 +216,6 @@ pub fn serve(
 ///
 /// Queue-resume and listener failures. (Per-sweep analysis failures are
 /// recorded in that sweep's manifest, never fatal to the daemon.)
-pub fn serve_daemon(
-    registry: &Registry,
-    store: &ArtifactStore,
-    settings: &CoordSettings,
-    listener: &TcpListener,
-) -> Result<(), EngineError> {
-    serve_daemon_with(
-        registry,
-        store,
-        settings,
-        listener,
-        GatewayOptions::default(),
-    )
-}
-
-/// Service-plane extras for [`serve_daemon_with`], all off by default
-/// (which makes it exactly [`serve_daemon`]).
-#[derive(Debug, Default)]
-pub struct GatewayOptions {
-    /// A bound listener for the HTTP/JSON + SSE gateway
-    /// (`mbcr serve --http`). Served from the same process and registry
-    /// as the binary protocol — the two planes are views of one queue.
-    pub http: Option<TcpListener>,
-    /// `Some((min, max))` spawns and reaps local worker processes from
-    /// queue depth (`mbcr serve --spawn-workers min..max`).
-    pub spawn_workers: Option<(usize, usize)>,
-}
-
-/// [`serve_daemon`] plus the service-plane extras: an HTTP/SSE gateway
-/// listener and/or a local worker autoscaler.
-///
-/// # Errors
-///
-/// Queue-resume and listener failures, as for [`serve_daemon`].
 pub fn serve_daemon_with(
     registry: &Registry,
     store: &ArtifactStore,
@@ -367,7 +348,7 @@ impl<'a> Service<'a> {
                 std::thread::sleep(Duration::from_millis(20));
             };
             // Handlers notice the flag within one read timeout and deliver
-            // a final Shutdown/FollowEnd to their peer; the scope then
+            // a final Shutdown (or SSE `end`) to their peer; the scope then
             // joins them.
             self.shutdown.store(true, Ordering::Release);
             result
@@ -741,9 +722,8 @@ impl<'a> Service<'a> {
         true
     }
 
-    /// Handles a client submission: durable-then-acknowledged. Shared by
-    /// the binary protocol and the HTTP gateway — one validation path,
-    /// one durability contract, whatever the wire.
+    /// Handles a client submission (`POST /v1/sweeps`):
+    /// durable-then-acknowledged.
     fn submit_sweep(&self, spec: &Json, opts: SubmitOptions) -> Result<String, String> {
         let spec = SweepSpec::from_json(spec).map_err(|e| format!("bad sweep spec: {e}"))?;
         let mut state = self.lock();
@@ -753,115 +733,44 @@ impl<'a> Service<'a> {
             .map_err(|e| e.to_string())
     }
 
-    fn submit(&self, spec: &Json, opts: SubmitOptions) -> Message {
-        match self.submit_sweep(spec, opts) {
-            Ok(sweep) => Message::Submitted { sweep },
-            Err(reason) => Message::Reject { reason },
-        }
-    }
-
-    fn status(&self, sweep: Option<&str>) -> Message {
-        let state = self.lock();
-        let mut sweeps = state.sweeps.statuses();
-        if let Some(id) = sweep {
-            sweeps.retain(|s| s.id == id);
-            if sweeps.is_empty() {
-                return Message::Reject {
-                    reason: format!("unknown sweep '{id}'"),
-                };
-            }
-        }
-        Message::StatusReport { sweeps }
-    }
-
-    fn cancel(&self, sweep: &str) -> Message {
-        let mut state = self.lock();
-        match state.sweeps.cancel(sweep) {
-            Ok(result) => Message::Cancelled {
-                sweep: sweep.to_string(),
-                state: result.name().to_string(),
-            },
-            Err(e) => Message::Reject {
-                reason: e.to_string(),
-            },
-        }
-    }
-
-    /// Streams progress snapshots for the chosen sweeps until all of
-    /// them are terminal (or the service winds down): a `Progress` frame
-    /// whenever a snapshot changed — job completions *and* campaign
-    /// chunk-log growth — then `FollowEnd`.
+    /// The follow loop behind SSE followers: emit each changed snapshot
+    /// of sweep `id` (as compact JSON) — job completions *and* campaign
+    /// chunk-log growth — until it is terminal or the service winds
+    /// down. Emit failures (the peer vanished) end the stream.
     ///
     /// The state lock is held only for in-memory reads, and only on
     /// ticks where the registry's revision moved; campaign chunk-log
     /// scans (real disk I/O, one per campaign node) always run *outside*
     /// the lock, so a follower can never stall the worker fleet.
-    fn follow(&self, stream: &mut TcpStream, sweep: Option<String>) -> io::Result<()> {
-        let targets = match self.follow_targets(sweep) {
-            Ok(targets) => targets,
-            Err(reason) => return protocol::send(stream, &Message::Reject { reason }),
-        };
-        self.follow_stream(&targets, &mut |snapshot| {
-            protocol::send(stream, &Message::Progress(Box::new(snapshot)))
-        })?;
-        protocol::send(stream, &Message::FollowEnd)
-    }
-
-    /// Resolves a follow request to the sweep ids it watches.
-    fn follow_targets(&self, sweep: Option<String>) -> Result<Vec<String>, String> {
-        let state = self.lock();
-        match sweep {
-            Some(id) => {
-                if state.sweeps.contains(&id) {
-                    Ok(vec![id])
-                } else {
-                    Err(format!("unknown sweep '{id}'"))
-                }
-            }
-            None => Ok(state.sweeps.ids()),
-        }
-    }
-
-    /// The transport-agnostic follow loop, shared by binary `Follow`
-    /// streams and SSE followers: emit each changed snapshot — job
-    /// completions *and* campaign chunk-log growth — until every target
-    /// is terminal or the service winds down. Emit failures (the peer
-    /// vanished) end the stream.
     fn follow_stream(
         &self,
-        targets: &[String],
-        emit: &mut dyn FnMut(SweepSnapshot) -> io::Result<()>,
+        id: &str,
+        emit: &mut dyn FnMut(&str) -> io::Result<()>,
     ) -> io::Result<()> {
-        let mut sent: HashMap<String, String> = HashMap::new();
-        let mut shells: Vec<(SweepSnapshot, Vec<u64>)> = Vec::new();
+        let mut sent = String::new();
+        let mut shell: Option<(SweepSnapshot, Vec<u64>)> = None;
         let mut seen_revision = None;
         loop {
             let revision = { self.lock().sweeps.revision() };
             if seen_revision != Some(revision) {
                 seen_revision = Some(revision);
                 let state = self.lock();
-                shells = targets
-                    .iter()
-                    .filter_map(|id| {
-                        state
-                            .sweeps
-                            .snapshot(id)
-                            .map(|shell| (shell, state.sweeps.campaign_digests(id)))
-                    })
-                    .collect();
+                shell = state
+                    .sweeps
+                    .snapshot(id)
+                    .map(|shell| (shell, state.sweeps.campaign_digests(id)));
             }
-            let all_terminal = shells.iter().all(|(shell, _)| shell.state.terminal());
-            for (shell, digests) in &shells {
-                let mut snapshot = shell.clone();
-                snapshot.campaigns = mbcr_engine::campaign_progress_for(self.store, digests);
-                let id = snapshot.id.clone();
-                let rendered = protocol::snapshot_json(&snapshot).to_compact();
-                if sent.get(&id) != Some(&rendered) {
-                    emit(snapshot)?;
-                    sent.insert(id, rendered);
-                }
+            let Some((shell, digests)) = &shell else {
+                return Ok(());
+            };
+            let mut snapshot = shell.clone();
+            snapshot.campaigns = mbcr_engine::campaign_progress_for(self.store, digests);
+            let rendered = protocol::snapshot_json(&snapshot).to_compact();
+            if rendered != sent {
+                emit(&rendered)?;
+                sent = rendered;
             }
-            if all_terminal || self.winding_down() {
+            if shell.state.terminal() || self.winding_down() {
                 return Ok(());
             }
             std::thread::sleep(FOLLOW_TICK);
@@ -920,32 +829,14 @@ fn handle_connection(service: &Service<'_>, mut stream: TcpStream, peer: u64) {
     if protocol::send(&mut stream, &welcome).is_err() {
         return;
     }
-    // Whether this connection has identified as a worker (sent any frame
-    // of the job loop). Clients never enter the lease table, so an idle
-    // fleet check cannot be fooled by a lingering `follow` stream.
-    let mut is_worker = false;
+    // Only workers speak this protocol (clients use the HTTP gateway), so
+    // a completed handshake enters the lease table.
+    service.register(peer);
     let mut drained = false;
     loop {
         match protocol::receive_or_idle(&mut stream) {
             Ok(Received::Message(message)) => {
-                match message {
-                    Message::Request
-                    | Message::Chunk { .. }
-                    | Message::ResetLog { .. }
-                    | Message::Heartbeat
-                    | Message::Done(_)
-                    | Message::Drain
-                        if !is_worker =>
-                    {
-                        is_worker = true;
-                        service.register(peer);
-                        // Re-dispatch below via the worker arms.
-                    }
-                    _ => {}
-                }
-                if is_worker {
-                    service.touch(peer);
-                }
+                service.touch(peer);
                 match message {
                     Message::Request => {
                         let response = service.claim(peer);
@@ -969,45 +860,6 @@ fn handle_connection(service: &Service<'_>, mut stream: TcpStream, peer: u64) {
                     }
                     Message::Drain => {
                         drained = true;
-                        break;
-                    }
-                    Message::Submit {
-                        spec,
-                        force,
-                        checkpoint_interval,
-                        priority,
-                        max_concurrent,
-                    } => {
-                        let opts = SubmitOptions {
-                            force,
-                            checkpoint_interval,
-                            // The binary Submit frame carries no batching
-                            // knob; daemon-submitted sweeps use the tuned
-                            // default width (results are identical).
-                            batch_width: None,
-                            persist: true,
-                            priority,
-                            max_concurrent,
-                        };
-                        let response = service.submit(&spec, opts);
-                        if protocol::send(&mut stream, &response).is_err() {
-                            break;
-                        }
-                    }
-                    Message::Status { sweep } => {
-                        let response = service.status(sweep.as_deref());
-                        if protocol::send(&mut stream, &response).is_err() {
-                            break;
-                        }
-                    }
-                    Message::Cancel { sweep } => {
-                        let response = service.cancel(&sweep);
-                        if protocol::send(&mut stream, &response).is_err() {
-                            break;
-                        }
-                    }
-                    Message::Follow { sweep } => {
-                        let _ = service.follow(&mut stream, sweep);
                         break;
                     }
                     other => {
@@ -1034,7 +886,5 @@ fn handle_connection(service: &Service<'_>, mut stream: TcpStream, peer: u64) {
             }
         }
     }
-    if is_worker {
-        service.drop_worker(peer, if drained { "drained" } else { "lost" });
-    }
+    service.drop_worker(peer, if drained { "drained" } else { "lost" });
 }

@@ -1,12 +1,14 @@
-//! The HTTP/JSON + SSE face of the service daemon (`mbcr serve --http`).
+//! The HTTP/JSON + SSE face of the service daemon (`mbcr serve --http`):
+//! the only client surface. `mbcr submit`, `status`, `cancel` and
+//! `report --connect` speak these routes; the binary listener serves
+//! workers alone.
 //!
-//! Every route is a thin adapter over the same [`Service`] methods the
-//! binary protocol uses — one registry, one durability contract, two
-//! wire formats. Handlers run in the accept loop's thread scope, one
-//! request per connection (mirroring the daemon's one-handshake binary
-//! peers); a slow or hostile peer can stall only its own handler
-//! thread, never the claim loop, because every route takes the state
-//! lock just long enough for an in-memory read.
+//! Every route is a thin adapter over the [`Service`] the worker loop
+//! drives — one registry, one durability contract. Handlers run in the
+//! accept loop's thread scope, one request per connection; a slow or
+//! hostile peer can stall only its own handler thread, never the claim
+//! loop, because every route takes the state lock just long enough for
+//! an in-memory read.
 //!
 //! Routes:
 //!
@@ -28,7 +30,7 @@ use std::time::Duration;
 
 use mbcr::prelude::{CacheGeometry, Inputs};
 use mbcr::stage::{cache_class, path_coverage, rollup_to_json, StageStore};
-use mbcr_engine::{SubmitOptions, SweepMetrics};
+use mbcr_engine::{EngineError, SubmitOptions, SweepMetrics};
 use mbcr_gateway::{
     read_request, respond_error, respond_json, respond_text, sse_event, sse_headers, Request,
 };
@@ -217,9 +219,8 @@ fn prometheus_page(service: &Service<'_>) -> String {
 }
 
 /// `POST /v1/sweeps`: body `{"spec": …, "force"?, "checkpoint_interval"?,
-/// "priority"?, "max_concurrent"?}` — the exact knobs of the binary
-/// `Submit` frame. Durable before the `201` is written, like every
-/// other submission path.
+/// "batch_width"?, "priority"?, "max_concurrent"?}`. Durable before the
+/// `201` is written.
 fn submit(service: &Service<'_>, stream: &mut TcpStream, request: &Request) -> io::Result<()> {
     let body = match request.json() {
         Ok(body) => body,
@@ -249,7 +250,7 @@ fn submit(service: &Service<'_>, stream: &mut TcpStream, request: &Request) -> i
     }
 }
 
-/// `GET /v1/sweeps/{id}`: the same snapshot a binary `Follow` frame
+/// `GET /v1/sweeps/{id}`: the same snapshot an SSE `progress` event
 /// carries, campaigns filled in outside the state lock.
 fn snapshot(service: &Service<'_>, stream: &mut TcpStream, id: &str) -> io::Result<()> {
     let shell = {
@@ -266,8 +267,9 @@ fn snapshot(service: &Service<'_>, stream: &mut TcpStream, id: &str) -> io::Resu
     respond_json(stream, 200, &protocol::snapshot_json(&snapshot))
 }
 
-/// `DELETE /v1/sweeps/{id}`: cancel. Unknown ids are `404`; a sweep
-/// that can no longer be canceled (already terminal) is `409`.
+/// `DELETE /v1/sweeps/{id}`: cancel. A terminal sweep keeps its state
+/// and answers `200` (idempotent); an unknown id is `404`; a cancel the
+/// store failed to persist is `500`.
 fn cancel(service: &Service<'_>, stream: &mut TcpStream, id: &str) -> io::Result<()> {
     let result = { service.lock().sweeps.cancel(id) };
     match result {
@@ -280,33 +282,29 @@ fn cancel(service: &Service<'_>, stream: &mut TcpStream, id: &str) -> io::Result
             ]),
         ),
         Err(e) => {
-            let reason = e.to_string();
-            let status = if reason.contains("unknown") { 404 } else { 409 };
-            respond_error(stream, status, &reason)
+            let status = match e {
+                EngineError::Spec(_) => 404,
+                _ => 500,
+            };
+            respond_error(stream, status, &e.to_string())
         }
     }
 }
 
 /// `GET /v1/sweeps/{id}/events`: an SSE stream of `progress` events
-/// (each one compact-JSON snapshot, byte-equal to the binary follow
-/// payload) until the sweep is terminal, then one `end` event. Shares
-/// [`Service::follow_stream`] with binary followers, so the no-lock-
-/// around-I/O discipline holds here too.
+/// (each one compact-JSON snapshot, the `GET /v1/sweeps/{id}` body)
+/// until the sweep is terminal, then one `end` event. Runs
+/// [`Service::follow_stream`], so no lock is held around its I/O.
 fn follow_sse(service: &Service<'_>, stream: &mut TcpStream, id: &str) -> io::Result<()> {
-    let targets = match service.follow_targets(Some(id.to_string())) {
-        Ok(targets) => targets,
-        Err(reason) => return respond_error(stream, 404, &reason),
-    };
+    if !service.lock().sweeps.contains(id) {
+        return respond_error(stream, 404, &format!("unknown sweep '{id}'"));
+    }
     sse_headers(stream)?;
-    let streamed = service.follow_stream(&targets, &mut |snapshot| {
-        // The span measures render + write — i.e. how far this follower
-        // lags behind the sweep's progress feed.
+    let streamed = service.follow_stream(id, &mut |json| {
+        // The span measures the write — i.e. how far this follower lags
+        // behind the sweep's progress feed.
         let _span = mbcr_obs::span(mbcr_obs::SpanKind::SseEmit, "progress");
-        sse_event(
-            stream,
-            "progress",
-            &protocol::snapshot_json(&snapshot).to_compact(),
-        )
+        sse_event(stream, "progress", json)
     });
     if streamed.is_err() {
         // The follower hung up (or stalled past the write timeout)

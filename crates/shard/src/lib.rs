@@ -3,16 +3,15 @@
 //! Scales sweeps out at stage boundaries: a **service coordinator**
 //! owns any number of concurrently submitted sweeps (the engine's
 //! [`mbcr_engine::SweepRegistry`]), serves ready stage jobs to TCP
-//! **workers** over a length-prefixed [`mbcr_json`] wire protocol,
-//! answers **clients** (submit / status / cancel / follow) on the same
-//! listener — and, with `--http`, on a zero-dependency HTTP/1.1 + JSON
-//! plane (`mbcr-gateway`) that maps the same four verbs onto
-//! `POST/GET/DELETE /v1/sweeps` plus a Server-Sent-Events follow stream
-//! and a `/v1/metrics` scrape — streams campaign checkpoints back into its
-//! content-addressed store as workers produce them, and merges
-//! completed stage artifacts — deduplicated by digest within *and
-//! across* sweeps, so two sweeps sharing a pub/trace/tac stage execute
-//! it once.
+//! **workers** over a length-prefixed [`mbcr_json`] wire protocol, and
+//! answers **clients** (submit / status / cancel / follow) on a
+//! zero-dependency HTTP/1.1 + JSON plane (`mbcr-gateway`, enabled with
+//! `--http`) that maps the four verbs onto `POST/GET/DELETE /v1/sweeps`
+//! plus a Server-Sent-Events follow stream and a `/v1/metrics` scrape.
+//! It streams campaign checkpoints back into its content-addressed
+//! store as workers produce them, and merges completed stage artifacts —
+//! deduplicated by digest within *and across* sweeps, so two sweeps
+//! sharing a pub/trace/tac stage execute it once.
 //!
 //! The design leans entirely on what the engine already guarantees:
 //!
@@ -30,16 +29,14 @@
 //! The `mbcr` binary in this crate fronts everything:
 //!
 //! ```text
-//! mbcr serve  --listen 127.0.0.1:4870 --out runs/service   # daemon
 //! mbcr serve  --listen 127.0.0.1:4870 --http 127.0.0.1:8080 \
-//!             --spawn-workers 1..8                  # + HTTP/SSE plane
-//! mbcr submit --connect 127.0.0.1:4870 --benchmarks bs --priority 3
-//! mbcr report --connect 127.0.0.1:4870 --follow            # live stream
-//! mbcr report --connect http://127.0.0.1:8080 --follow --sweep s000-bs
-//! mbcr coord  --benchmarks bs --listen 127.0.0.1:4870 --out runs/demo
-//! mbcr worker --connect 127.0.0.1:4870 --jobs 4        # on any host
-//! mbcr sweep  --benchmarks bs --shards 4               # self-hosted
-//! mbcr loadgen --sweeps 6 --followers 8                # load-storm bench
+//!             --out runs/service                   # daemon
+//! mbcr serve  ... --spawn-workers 1..8             # + local autoscaled fleet
+//! mbcr worker --connect 127.0.0.1:4870 --jobs 4    # on any host
+//! mbcr submit --connect http://127.0.0.1:8080 --benchmarks bs --priority 3
+//! mbcr report --connect http://127.0.0.1:8080 --follow   # live stream
+//! mbcr sweep  --benchmarks bs --shards 4           # self-hosted
+//! mbcr loadgen --sweeps 6 --followers 8            # load-storm bench
 //! ```
 
 mod coord;
@@ -48,7 +45,7 @@ pub mod lint;
 pub mod protocol;
 mod worker;
 
-pub use coord::{serve, serve_daemon, serve_daemon_with, CoordSettings, GatewayOptions};
+pub use coord::{serve, serve_daemon_with, CoordSettings, GatewayOptions};
 pub use lease::LeaseTable;
 pub use lint::{lint_pair, lint_program};
 pub use worker::{run_worker, WorkerOutcome};

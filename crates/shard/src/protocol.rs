@@ -25,13 +25,12 @@ use mbcr_json::{fnv1a_bytes, Json, Serialize, FNV_OFFSET};
 /// Protocol identity exchanged in the handshake: wire layout + the engine
 /// schema whose artifacts travel over it. Either side rejects a peer with
 /// a different spelling. (`/2` since the service redesign: jobs are
-/// sweep-tagged and self-describing, and the client conversation —
-/// submit/status/cancel/follow — shares the connection grammar. `/3`
-/// since the gateway: submissions carry priority and concurrency-quota
-/// knobs.)
+/// sweep-tagged and self-describing. `/3` since the gateway: submissions
+/// carry priority and concurrency-quota knobs. `/4` since clients moved
+/// to HTTP: the grammar carries worker frames only.)
 #[must_use]
 pub fn wire_schema() -> String {
-    format!("mbcr-shard/3|{}", mbcr_engine::SCHEMA)
+    format!("mbcr-shard/4|{}", mbcr_engine::SCHEMA)
 }
 
 /// Magic prefix of every frame.
@@ -270,10 +269,10 @@ pub struct JobResult {
     pub fit: Option<(Json, Option<Vec<u64>>)>,
 }
 
-/// Every message of the service conversation. Workers and clients speak
-/// the same framed grammar over the same listener: both open with
-/// [`Message::Hello`], then workers run the request/job/done loop while
-/// clients submit, query, cancel, or follow sweeps.
+/// Every message of the worker conversation: a worker opens with
+/// [`Message::Hello`], then runs the request/job/done loop. Clients never
+/// speak this grammar; they submit, query, cancel and follow sweeps over
+/// the daemon's HTTP gateway (`mbcr serve --http`).
 #[derive(Debug, Clone)]
 pub enum Message {
     /// Peer → service: handshake.
@@ -288,9 +287,9 @@ pub enum Message {
         /// Must equal [`wire_schema`].
         schema: String,
     },
-    /// Service → peer: the request was refused (schema mismatch,
-    /// malformed hello, unknown sweep id). Workers report `reason` and
-    /// exit nonzero — a misconfigured fleet must be loud, not idle.
+    /// Service → peer: the handshake was refused (schema mismatch,
+    /// malformed hello). Workers report `reason` and exit nonzero — a
+    /// misconfigured fleet must be loud, not idle.
     Reject {
         /// Human-readable refusal reason.
         reason: String,
@@ -330,61 +329,6 @@ pub enum Message {
     /// flushed its in-flight campaign chunk and is leaving; requeue its
     /// leases now instead of waiting for the connection or lease TTL.
     Drain,
-    /// Client → service: queue this sweep.
-    Submit {
-        /// The sweep spec (JSON form of `SweepSpec`).
-        spec: Json,
-        /// Re-execute jobs even when cached artifacts exist.
-        force: bool,
-        /// Checkpoint-interval override for this sweep's campaigns.
-        checkpoint_interval: Option<usize>,
-        /// Fair-share weight (stride scheduling; `0` normalizes to `1`).
-        priority: u32,
-        /// Cap on the sweep's concurrently leased jobs.
-        max_concurrent: Option<usize>,
-    },
-    /// Service → client: the submission is durable and scheduled.
-    Submitted {
-        /// The sweep's id (use it to follow or cancel).
-        sweep: String,
-    },
-    /// Client → service: report sweep states (one sweep, or the whole
-    /// queue).
-    Status {
-        /// Restrict to one sweep id.
-        sweep: Option<String>,
-    },
-    /// Service → client: the queue's status rows.
-    StatusReport {
-        /// One row per sweep, in submission order.
-        sweeps: Vec<SweepStatus>,
-    },
-    /// Client → service: cancel a sweep.
-    Cancel {
-        /// The sweep to cancel.
-        sweep: String,
-    },
-    /// Service → client: cancel acknowledged.
-    Cancelled {
-        /// The sweep id.
-        sweep: String,
-        /// Its resulting state (terminal sweeps keep theirs).
-        state: String,
-    },
-    /// Client → service: stream progress snapshots until the target
-    /// sweep(s) complete.
-    Follow {
-        /// One sweep id, or `None` to follow every currently submitted
-        /// sweep.
-        sweep: Option<String>,
-    },
-    /// Service → client: one progress snapshot of one sweep (per-job
-    /// statuses + per-campaign chunk-log progress). Sent whenever
-    /// something changed, and once more in terminal state.
-    Progress(Box<SweepSnapshot>),
-    /// Service → client: everything followed is terminal; the stream
-    /// ends.
-    FollowEnd,
 }
 
 impl Message {
@@ -402,15 +346,6 @@ impl Message {
             Message::Heartbeat => "heartbeat",
             Message::Done(_) => "done",
             Message::Drain => "drain",
-            Message::Submit { .. } => "submit",
-            Message::Submitted { .. } => "submitted",
-            Message::Status { .. } => "status",
-            Message::StatusReport { .. } => "status_report",
-            Message::Cancel { .. } => "cancel",
-            Message::Cancelled { .. } => "cancelled",
-            Message::Follow { .. } => "follow",
-            Message::Progress(_) => "progress",
-            Message::FollowEnd => "follow_end",
         }
     }
 
@@ -432,8 +367,7 @@ impl Message {
             | Message::Wait
             | Message::Shutdown
             | Message::Heartbeat
-            | Message::Drain
-            | Message::FollowEnd => {}
+            | Message::Drain => {}
             Message::Job(job) => {
                 members.push(("sweep".to_string(), job.sweep.as_str().into()));
                 members.push(("job".to_string(), Json::UInt(job.job as u64)));
@@ -465,47 +399,6 @@ impl Message {
             }
             Message::ResetLog { digest } => {
                 members.push(("digest".to_string(), Json::UInt(*digest)));
-            }
-            Message::Submit {
-                spec,
-                force,
-                checkpoint_interval,
-                priority,
-                max_concurrent,
-            } => {
-                members.push(("spec".to_string(), spec.clone()));
-                members.push(("force".to_string(), Json::Bool(*force)));
-                members.push((
-                    "checkpoint_interval".to_string(),
-                    Serialize::to_json(&checkpoint_interval.map(|v| v as u64)),
-                ));
-                members.push(("priority".to_string(), Json::UInt(u64::from(*priority))));
-                members.push((
-                    "max_concurrent".to_string(),
-                    Serialize::to_json(&max_concurrent.map(|v| v as u64)),
-                ));
-            }
-            Message::Submitted { sweep } => {
-                members.push(("sweep".to_string(), sweep.as_str().into()));
-            }
-            Message::Status { sweep } | Message::Follow { sweep } => {
-                members.push(("sweep".to_string(), Serialize::to_json(sweep)));
-            }
-            Message::StatusReport { sweeps } => {
-                members.push((
-                    "sweeps".to_string(),
-                    Json::Arr(sweeps.iter().map(status_json).collect()),
-                ));
-            }
-            Message::Cancel { sweep } => {
-                members.push(("sweep".to_string(), sweep.as_str().into()));
-            }
-            Message::Cancelled { sweep, state } => {
-                members.push(("sweep".to_string(), sweep.as_str().into()));
-                members.push(("state".to_string(), state.as_str().into()));
-            }
-            Message::Progress(snapshot) => {
-                members.push(("snapshot".to_string(), snapshot_json(snapshot)));
             }
             Message::Done(result) => {
                 members.push(("sweep".to_string(), result.sweep.as_str().into()));
@@ -563,7 +456,6 @@ impl Message {
             "shutdown" => Message::Shutdown,
             "heartbeat" => Message::Heartbeat,
             "drain" => Message::Drain,
-            "follow_end" => Message::FollowEnd,
             "job" => Message::Job(Box::new(WireJob {
                 sweep: text("sweep")?,
                 job: v.get("job")?.as_usize()?,
@@ -579,47 +471,6 @@ impl Message {
                     }),
                 },
             })),
-            "submit" => Message::Submit {
-                spec: v.get("spec")?.clone(),
-                force: v.get("force")?.as_bool()?,
-                checkpoint_interval: match v.get("checkpoint_interval") {
-                    None | Some(Json::Null) => None,
-                    Some(other) => Some(other.as_usize()?),
-                },
-                priority: v
-                    .get("priority")?
-                    .as_u64()
-                    .map(|p| u32::try_from(p).unwrap_or(u32::MAX))?,
-                max_concurrent: match v.get("max_concurrent") {
-                    None | Some(Json::Null) => None,
-                    Some(other) => Some(other.as_usize()?),
-                },
-            },
-            "submitted" => Message::Submitted {
-                sweep: text("sweep")?,
-            },
-            "status" => Message::Status {
-                sweep: optional_text(v.get("sweep"))?,
-            },
-            "follow" => Message::Follow {
-                sweep: optional_text(v.get("sweep"))?,
-            },
-            "status_report" => Message::StatusReport {
-                sweeps: v
-                    .get("sweeps")?
-                    .as_array()?
-                    .iter()
-                    .map(status_from_json)
-                    .collect::<Option<Vec<_>>>()?,
-            },
-            "cancel" => Message::Cancel {
-                sweep: text("sweep")?,
-            },
-            "cancelled" => Message::Cancelled {
-                sweep: text("sweep")?,
-                state: text("state")?,
-            },
-            "progress" => Message::Progress(Box::new(snapshot_from_json(v.get("snapshot")?)?)),
             "chunk" => Message::Chunk {
                 digest: v.get("digest")?.as_u64()?,
                 start: v.get("start")?.as_usize()?,
@@ -664,16 +515,8 @@ impl Message {
     }
 }
 
-fn optional_text(v: Option<&Json>) -> Option<Option<String>> {
-    match v {
-        None | Some(Json::Null) => Some(None),
-        Some(other) => other.as_str().map(|s| Some(s.to_string())),
-    }
-}
-
-/// JSON form of one [`SweepStatus`] row — shared verbatim by the binary
-/// `StatusReport` frame and the gateway's `GET /v1/sweeps` responses,
-/// so both planes serialize statuses identically.
+/// JSON form of one [`SweepStatus`] row: the gateway's `GET /v1/sweeps`
+/// body, parsed back by the CLI's HTTP client with [`status_from_json`].
 #[must_use]
 pub fn status_json(status: &SweepStatus) -> Json {
     Json::Obj(vec![
@@ -704,8 +547,8 @@ pub fn status_from_json(v: &Json) -> Option<SweepStatus> {
     })
 }
 
-/// JSON form of one [`SweepSnapshot`] — shared verbatim by the binary
-/// `Progress` frame and the gateway's snapshot/SSE payloads.
+/// JSON form of one [`SweepSnapshot`]: the gateway's snapshot and SSE
+/// `progress` payloads, parsed back with [`snapshot_from_json`].
 #[must_use]
 pub fn snapshot_json(snapshot: &SweepSnapshot) -> Json {
     Json::Obj(vec![
@@ -923,47 +766,6 @@ mod tests {
                 samples: vec![3, 2, 1],
             },
             Message::ResetLog { digest: 5 },
-            Message::Submit {
-                spec: mbcr_engine::SweepSpec::new("wire")
-                    .benchmarks(["bs"])
-                    .to_json(),
-                force: true,
-                checkpoint_interval: Some(256),
-                priority: 3,
-                max_concurrent: Some(2),
-            },
-            Message::Submitted {
-                sweep: "s000-wire".to_string(),
-            },
-            Message::Status { sweep: None },
-            Message::Status {
-                sweep: Some("s000-wire".to_string()),
-            },
-            Message::StatusReport {
-                sweeps: vec![SweepStatus {
-                    id: "s000-wire".to_string(),
-                    name: "wire".to_string(),
-                    state: SweepState::Queued,
-                    total: 7,
-                    done: 3,
-                    executed: 2,
-                    skipped: 1,
-                    failed: 0,
-                }],
-            },
-            Message::Cancel {
-                sweep: "s000-wire".to_string(),
-            },
-            Message::Cancelled {
-                sweep: "s000-wire".to_string(),
-                state: "canceled".to_string(),
-            },
-            Message::Follow { sweep: None },
-            Message::Follow {
-                sweep: Some("s000-wire".to_string()),
-            },
-            Message::Progress(Box::new(demo_snapshot())),
-            Message::FollowEnd,
         ]
     }
 
@@ -980,10 +782,6 @@ mod tests {
                 assert_eq!(back.artifacts, job.artifacts);
                 assert_eq!(back.prefix, job.prefix);
             }
-            other => panic!("wrong kind: {other:?}"),
-        }
-        match roundtrip(&Message::Progress(Box::new(demo_snapshot()))) {
-            Message::Progress(back) => assert_eq!(*back, demo_snapshot()),
             other => panic!("wrong kind: {other:?}"),
         }
         for msg in every_message() {
@@ -1031,78 +829,61 @@ mod tests {
 
     #[test]
     fn new_messages_reject_malformed_fields() {
-        let obj = |fields: Vec<(&str, Json)>| {
-            Json::Obj(
-                fields
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v))
-                    .collect(),
-            )
-        };
-        for doc in [
-            // submit without a spec / with a non-bool force / without a
-            // priority / with a malformed quota
-            obj(vec![("type", "submit".into()), ("force", Json::Bool(true))]),
-            obj(vec![
-                ("type", "submit".into()),
-                ("spec", Json::Obj(vec![])),
-                ("force", Json::UInt(1)),
-            ]),
-            obj(vec![
-                ("type", "submit".into()),
-                ("spec", Json::Obj(vec![])),
-                ("force", Json::Bool(false)),
-            ]),
-            obj(vec![
-                ("type", "submit".into()),
-                ("spec", Json::Obj(vec![])),
-                ("force", Json::Bool(false)),
-                ("priority", Json::UInt(1)),
-                ("max_concurrent", Json::Bool(true)),
-            ]),
-            // submitted/cancel/cancelled without their ids
-            obj(vec![("type", "submitted".into())]),
-            obj(vec![("type", "cancel".into())]),
-            obj(vec![("type", "cancelled".into()), ("sweep", "s0".into())]),
-            // status/follow with a non-string sweep
-            obj(vec![("type", "status".into()), ("sweep", Json::UInt(3))]),
-            obj(vec![("type", "follow".into()), ("sweep", Json::UInt(3))]),
-            // status_report with a malformed row (unknown state)
-            obj(vec![
-                ("type", "status_report".into()),
-                (
-                    "sweeps",
-                    Json::Arr(vec![obj(vec![
-                        ("id", "s0".into()),
-                        ("name", "x".into()),
-                        ("state", "nope".into()),
-                        ("total", Json::UInt(1)),
-                        ("done", Json::UInt(0)),
-                        ("executed", Json::UInt(0)),
-                        ("skipped", Json::UInt(0)),
-                        ("failed", Json::UInt(0)),
-                    ])]),
-                ),
-            ]),
-            // progress without a snapshot / with a truncated one
-            obj(vec![("type", "progress".into())]),
-            obj(vec![
-                ("type", "progress".into()),
-                ("snapshot", obj(vec![("id", "s0".into())])),
-            ]),
-            // job without its sweep tag or knobs (the v1 layout)
-            obj(vec![
-                ("type", "job".into()),
-                ("job", Json::UInt(0)),
-                ("key", "ab".into()),
-            ]),
-        ] {
-            assert!(
-                Message::from_json(&doc).is_none(),
-                "must reject {}",
-                doc.to_compact()
-            );
+        // A job without its sweep tag or knobs (the v1 layout).
+        let v1_job = Json::Obj(vec![
+            ("type".to_string(), "job".into()),
+            ("job".to_string(), Json::UInt(0)),
+            ("key".to_string(), "ab".into()),
+        ]);
+        assert!(Message::from_json(&v1_job).is_none());
+    }
+
+    fn demo_status() -> SweepStatus {
+        SweepStatus {
+            id: "s000-wire".to_string(),
+            name: "wire".to_string(),
+            state: SweepState::Queued,
+            total: 7,
+            done: 3,
+            executed: 2,
+            skipped: 1,
+            failed: 0,
         }
+    }
+
+    /// The HTTP bodies' round trip: rendered compact, parsed back.
+    fn reparse(doc: &Json) -> Json {
+        mbcr_json::parse(&doc.to_compact()).expect("compact JSON parses")
+    }
+
+    #[test]
+    fn status_rows_and_snapshots_roundtrip_through_their_json_forms() {
+        let row = reparse(&status_json(&demo_status()));
+        assert_eq!(status_from_json(&row), Some(demo_status()));
+        let snapshot = reparse(&snapshot_json(&demo_snapshot()));
+        assert_eq!(snapshot_from_json(&snapshot), Some(demo_snapshot()));
+    }
+
+    #[test]
+    fn unknown_states_and_truncated_snapshots_are_rejected() {
+        let row = Json::Obj(
+            [
+                ("id", "s0".into()),
+                ("name", "x".into()),
+                ("state", "nope".into()),
+                ("total", Json::UInt(1)),
+                ("done", Json::UInt(0)),
+                ("executed", Json::UInt(0)),
+                ("skipped", Json::UInt(0)),
+                ("failed", Json::UInt(0)),
+            ]
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+        );
+        assert_eq!(status_from_json(&row), None, "unknown state");
+        let truncated = Json::Obj(vec![("id".to_string(), "s0".into())]);
+        assert_eq!(snapshot_from_json(&truncated), None, "truncated snapshot");
     }
 
     #[test]

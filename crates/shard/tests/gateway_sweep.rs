@@ -13,147 +13,25 @@
 //!   stall only their own handler, never the claim loop: the storm
 //!   completes regardless;
 //! * `status`/`report` exit nonzero when the targeted sweep was
-//!   canceled, and `submit --spec -` reads the spec from stdin.
+//!   canceled, and `submit --spec -` reads the spec from stdin;
+//! * `DELETE` answers `404` for an unknown sweep and `500` when the
+//!   cancel could not be persisted;
+//! * every client verb takes the gateway URL: a bare `host:port` is a
+//!   usage error naming the `http://` form, and `mbcr coord` is gone.
+
+mod common;
 
 use std::fs;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
-use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use common::{
+    assert_sweep_matches, run_ok, spawn_worker, tmp_dir, wait_for_slog_bytes, Daemon, MBCR,
+};
 use mbcr_engine::{AnalysisKind, SweepSpec};
 use mbcr_json::Json;
-
-const MBCR: &str = env!("CARGO_BIN_EXE_mbcr");
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mbcr-gateway-e2e-{tag}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    dir
-}
-
-fn run_ok(args: &[&str]) -> String {
-    let output = Command::new(MBCR).args(args).output().expect("spawn mbcr");
-    assert!(
-        output.status.success(),
-        "mbcr {args:?} failed:\n{}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    String::from_utf8_lossy(&output.stdout).into_owned()
-}
-
-/// Every file under a directory, relative path → bytes, sorted. `*.tmpN`
-/// strays a `kill -9`'d writer left mid-`write_atomic` are skipped — the
-/// store contract says scans ignore them; they are not artifacts.
-fn snapshot(root: &Path) -> Vec<(String, Vec<u8>)> {
-    fn walk(dir: &Path, root: &Path, out: &mut Vec<(String, Vec<u8>)>) {
-        for entry in fs::read_dir(dir).expect("read_dir").flatten() {
-            let path = entry.path();
-            if path.is_dir() {
-                walk(&path, root, out);
-            } else if path
-                .extension()
-                .is_some_and(|e| e.to_string_lossy().starts_with("tmp"))
-            {
-                continue;
-            } else {
-                let rel = path
-                    .strip_prefix(root)
-                    .expect("under root")
-                    .to_string_lossy()
-                    .into_owned();
-                out.push((rel, fs::read(&path).expect("read file")));
-            }
-        }
-    }
-    let mut out = Vec::new();
-    walk(root, root, &mut out);
-    out.sort_by(|a, b| a.0.cmp(&b.0));
-    out
-}
-
-fn assert_dirs_identical(a: &Path, b: &Path, what: &str) {
-    let snap_a = snapshot(a);
-    let snap_b = snapshot(b);
-    let names = |snap: &[(String, Vec<u8>)]| -> Vec<String> {
-        snap.iter().map(|(n, _)| n.clone()).collect()
-    };
-    assert_eq!(names(&snap_a), names(&snap_b), "{what}: file sets differ");
-    for ((name_a, bytes_a), (_, bytes_b)) in snap_a.iter().zip(&snap_b) {
-        assert_eq!(
-            bytes_a,
-            bytes_b,
-            "{what}: {name_a} differs between {} and {}",
-            a.display(),
-            b.display()
-        );
-    }
-}
-
-/// Strips the `campaign_resumed` lines a resumed/adopted campaign is
-/// allowed (and required) to differ in.
-fn normalize_manifest(text: &str) -> String {
-    text.lines()
-        .filter(|l| !l.contains("\"campaign_resumed\""))
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
-/// A daemon with both planes up: `addr` speaks the binary protocol,
-/// `http` the gateway.
-struct Daemon {
-    child: Child,
-    addr: String,
-    http: String,
-}
-
-impl Daemon {
-    fn spawn(out: &Path) -> Self {
-        let mut child = Command::new(MBCR)
-            .args(["serve", "--listen", "127.0.0.1:0", "--http", "127.0.0.1:0"])
-            .args(["--out", &out.display().to_string()])
-            .stdout(Stdio::piped())
-            .spawn()
-            .expect("spawn daemon");
-        let stdout = child.stdout.take().expect("daemon stdout");
-        let mut lines = BufReader::new(stdout).lines();
-        let (mut addr, mut http) = (None, None);
-        while addr.is_none() || http.is_none() {
-            let line = lines
-                .next()
-                .expect("daemon exited before announcing its addresses")
-                .expect("read daemon stdout");
-            if let Some(a) = line.strip_prefix("service listening on ") {
-                addr = Some(a.to_string());
-            } else if let Some(h) = line.strip_prefix("http listening on ") {
-                http = Some(h.to_string());
-            }
-        }
-        std::thread::spawn(move || for _ in lines {});
-        Self {
-            child,
-            addr: addr.expect("service address"),
-            http: http.expect("http address"),
-        }
-    }
-}
-
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-fn spawn_worker(addr: &str) -> Child {
-    Command::new(MBCR)
-        .args(["worker", "--connect", addr])
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn worker")
-}
 
 /// The overlapping storm specs, as a [`SweepSpec`] (for HTTP submission)
 /// — field for field what the CLI reference args below produce.
@@ -209,19 +87,6 @@ fn http_submit(http: &str, spec: &SweepSpec) -> String {
         .and_then(Json::as_str)
         .expect("submit response carries the sweep id")
         .to_string()
-}
-
-/// Total bytes of campaign chunk logs currently in a store.
-fn slog_bytes(out: &Path) -> u64 {
-    let Ok(entries) = fs::read_dir(out.join("stages")) else {
-        return 0;
-    };
-    entries
-        .flatten()
-        .filter(|e| e.file_name().to_string_lossy().ends_with(".samples.slog"))
-        .filter_map(|e| e.metadata().ok())
-        .map(|m| m.len())
-        .sum()
 }
 
 /// Polls `GET /v1/sweeps` until every id is terminal (panics after the
@@ -285,12 +150,8 @@ fn http_submitted_sweeps_survive_sigkill_and_match_sequential_runs_byte_for_byte
         ];
         let mut workers: Vec<Child> = (0..2).map(|_| spawn_worker(&daemon.addr)).collect();
         // Let the first campaign chunks land, then SIGKILL the daemon:
-        // HTTP submissions must be exactly as durable as binary ones.
-        let deadline = Instant::now() + Duration::from_secs(300);
-        while slog_bytes(&out) == 0 {
-            assert!(Instant::now() < deadline, "campaign logs never appeared");
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        // HTTP submissions must survive it.
+        wait_for_slog_bytes(&out, 1);
         drop(daemon); // SIGKILL (Drop uses Child::kill)
         for w in &mut workers {
             let _ = w.kill();
@@ -302,9 +163,15 @@ fn http_submitted_sweeps_survive_sigkill_and_match_sequential_runs_byte_for_byte
     // over the gateway's SSE endpoint (via the CLI's http client path).
     let daemon = Daemon::spawn(&out);
     let mut workers: Vec<Child> = (0..2).map(|_| spawn_worker(&daemon.addr)).collect();
-    let url = format!("http://{}", daemon.http);
     for id in &ids {
-        run_ok(&["report", "--connect", &url, "--follow", "--sweep", id]);
+        run_ok(&[
+            "report",
+            "--connect",
+            &daemon.url(),
+            "--follow",
+            "--sweep",
+            id,
+        ]);
     }
     for w in &mut workers {
         let _ = w.kill();
@@ -314,21 +181,8 @@ fn http_submitted_sweeps_survive_sigkill_and_match_sequential_runs_byte_for_byte
     // Byte-identity: shared content exactly equals the clean sequential
     // store; per-sweep manifests/tables differ at most in resumed-run
     // counts.
-    assert_dirs_identical(&reference.join("jobs"), &out.join("jobs"), "jobs/");
-    assert_dirs_identical(&reference.join("stages"), &out.join("stages"), "stages/");
     for (id, (ref_manifest, ref_table)) in ids.iter().zip(&captured) {
-        let scope = out.join("sweeps").join(id);
-        let manifest = fs::read_to_string(scope.join("manifest.json")).expect("manifest");
-        assert_eq!(
-            normalize_manifest(&manifest),
-            normalize_manifest(ref_manifest),
-            "{id}: manifests must agree on everything but campaign_resumed"
-        );
-        assert_eq!(
-            &fs::read_to_string(scope.join("table2.csv")).expect("table2"),
-            ref_table,
-            "{id}: table2 must match the clean reference"
-        );
+        assert_sweep_matches(&out, id, &reference, ref_manifest, ref_table);
     }
     let _ = fs::remove_dir_all(&reference);
     let _ = fs::remove_dir_all(&out);
@@ -505,7 +359,7 @@ fn stdin_specs_submit_and_canceled_sweeps_exit_nonzero_from_status_and_report() 
     // connected, so the sweep stays queued until we cancel it.
     let spec = storm_spec("stdin-spec", &[31]);
     let mut child = Command::new(MBCR)
-        .args(["submit", "--connect", &daemon.addr, "--spec", "-"])
+        .args(["submit", "--connect", &daemon.url(), "--spec", "-"])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -532,8 +386,9 @@ fn stdin_specs_submit_and_canceled_sweeps_exit_nonzero_from_status_and_report() 
         .to_string();
 
     // Queued and healthy: targeted status exits 0.
+    let url = daemon.url();
     let probe = Command::new(MBCR)
-        .args(["status", "--connect", &daemon.addr, "--sweep", &id])
+        .args(["status", "--connect", &url, "--sweep", &id])
         .output()
         .expect("spawn mbcr status");
     assert!(
@@ -542,19 +397,18 @@ fn stdin_specs_submit_and_canceled_sweeps_exit_nonzero_from_status_and_report() 
         String::from_utf8_lossy(&probe.stderr)
     );
 
-    run_ok(&["cancel", "--connect", &daemon.addr, "--sweep", &id]);
+    run_ok(&["cancel", "--connect", &url, "--sweep", &id]);
 
-    // Canceled: both the binary-protocol probe and the gateway report
-    // exit nonzero — scripts can gate on sweep health.
+    // Canceled: both the status probe and the report exit nonzero —
+    // scripts can gate on sweep health.
     let probe = Command::new(MBCR)
-        .args(["status", "--connect", &daemon.addr, "--sweep", &id])
+        .args(["status", "--connect", &url, "--sweep", &id])
         .output()
         .expect("spawn mbcr status");
     assert!(
         !probe.status.success(),
         "status --sweep must exit nonzero for a canceled sweep"
     );
-    let url = format!("http://{}", daemon.http);
     let probe = Command::new(MBCR)
         .args(["report", "--connect", &url, "--sweep", &id])
         .output()
@@ -564,9 +418,56 @@ fn stdin_specs_submit_and_canceled_sweeps_exit_nonzero_from_status_and_report() 
         "report --connect http:// --sweep must exit nonzero for a canceled sweep"
     );
     // Untargeted listings still exit 0: the queue as a whole is fine.
-    run_ok(&["status", "--connect", &daemon.addr]);
+    run_ok(&["status", "--connect", &url]);
     run_ok(&["report", "--connect", &url]);
 
     drop(daemon);
     let _ = fs::remove_dir_all(&out);
+}
+
+#[test]
+fn cancel_the_store_cannot_persist_is_a_server_error() {
+    let out = tmp_dir("cancel-unpersisted");
+    let daemon = Daemon::spawn(&out);
+    // No worker is connected, so the sweep stays queued; a plain file
+    // where the queue directory was makes the cancel's queue write fail.
+    let id = http_submit(&daemon.http, &storm_spec("unpersisted", &[41]));
+    fs::remove_dir_all(out.join("queue")).expect("remove the queue directory");
+    fs::write(out.join("queue"), b"not a directory").expect("plant a file");
+    let response = mbcr_gateway::request(&daemon.http, "DELETE", &format!("/v1/sweeps/{id}"), None)
+        .expect("DELETE the sweep");
+    assert_eq!(
+        response.status,
+        500,
+        "a failed store write is the server's fault, not a conflict: {}",
+        response.error_text()
+    );
+    drop(daemon);
+    let _ = fs::remove_dir_all(&out);
+}
+
+#[test]
+fn bare_addresses_and_coord_are_usage_errors() {
+    // Clients speak HTTP only: the worker listener's host:port form is
+    // refused before any connection, naming the URL form to use instead.
+    for verb in [
+        &["submit", "--connect", "127.0.0.1:1", "--benchmarks", "bs"][..],
+        &["status", "--connect", "127.0.0.1:1"][..],
+        &["cancel", "--connect", "127.0.0.1:1", "--sweep", "s000-x"][..],
+        &["report", "--connect", "127.0.0.1:1", "--follow"][..],
+    ] {
+        let output = Command::new(MBCR).args(verb).output().expect("spawn mbcr");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(!output.status.success(), "{verb:?} must fail");
+        assert!(
+            stderr.contains("http://HOST:PORT"),
+            "{verb:?} must name the URL form: {stderr}"
+        );
+    }
+    // `mbcr coord` folded into `serve` + `submit` and `sweep --shards`.
+    let coord = Command::new(MBCR)
+        .args(["coord", "--benchmarks", "bs"])
+        .output()
+        .expect("spawn mbcr");
+    assert_eq!(coord.status.code(), Some(2), "coord is an unknown command");
 }

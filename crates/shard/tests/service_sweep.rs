@@ -1,5 +1,6 @@
 //! End-to-end guarantees of the multi-sweep service daemon, driven
-//! through the real `mbcr` binary:
+//! through the real `mbcr` binary (clients over the `--http` gateway,
+//! workers as external processes):
 //!
 //! * two overlapping sweeps submitted **concurrently** to one daemon
 //!   produce per-sweep manifests and Table 2 CSVs byte-identical to
@@ -17,160 +18,20 @@
 //!   while the surviving fleet adopts the campaign and the outputs stay
 //!   byte-identical to a single-process run.
 
+mod common;
+
 use std::fs;
-use std::io::{BufRead, BufReader};
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+use std::path::Path;
+use std::process::{Child, Command};
 
-const MBCR: &str = env!("CARGO_BIN_EXE_mbcr");
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mbcr-service-e2e-{tag}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    dir
-}
-
-fn run_ok(args: &[&str]) -> String {
-    let output = Command::new(MBCR).args(args).output().expect("spawn mbcr");
-    assert!(
-        output.status.success(),
-        "mbcr {args:?} failed:\n{}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    String::from_utf8_lossy(&output.stdout).into_owned()
-}
-
-/// Every file under a directory, relative path → bytes, sorted. `*.tmpN`
-/// strays a `kill -9`'d writer left mid-`write_atomic` are skipped — the
-/// store contract says scans ignore them; they are not artifacts.
-fn snapshot(root: &Path) -> Vec<(String, Vec<u8>)> {
-    fn walk(dir: &Path, root: &Path, out: &mut Vec<(String, Vec<u8>)>) {
-        for entry in fs::read_dir(dir).expect("read_dir").flatten() {
-            let path = entry.path();
-            if path.is_dir() {
-                walk(&path, root, out);
-            } else if path
-                .extension()
-                .is_some_and(|e| e.to_string_lossy().starts_with("tmp"))
-            {
-                continue;
-            } else {
-                let rel = path
-                    .strip_prefix(root)
-                    .expect("under root")
-                    .to_string_lossy()
-                    .into_owned();
-                out.push((rel, fs::read(&path).expect("read file")));
-            }
-        }
-    }
-    let mut out = Vec::new();
-    walk(root, root, &mut out);
-    out.sort_by(|a, b| a.0.cmp(&b.0));
-    out
-}
-
-fn assert_dirs_identical(a: &Path, b: &Path, what: &str) {
-    let snap_a = snapshot(a);
-    let snap_b = snapshot(b);
-    let names = |snap: &[(String, Vec<u8>)]| -> Vec<String> {
-        snap.iter().map(|(n, _)| n.clone()).collect()
-    };
-    assert_eq!(names(&snap_a), names(&snap_b), "{what}: file sets differ");
-    for ((name_a, bytes_a), (_, bytes_b)) in snap_a.iter().zip(&snap_b) {
-        assert_eq!(
-            bytes_a,
-            bytes_b,
-            "{what}: {name_a} differs between {} and {}",
-            a.display(),
-            b.display()
-        );
-    }
-}
-
-/// Strips the `campaign_resumed` lines a resumed/adopted campaign is
-/// allowed (and required) to differ in.
-fn normalize_manifest(text: &str) -> String {
-    text.lines()
-        .filter(|l| !l.contains("\"campaign_resumed\""))
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
-struct Daemon {
-    child: Child,
-    addr: String,
-}
-
-impl Daemon {
-    fn spawn(out: &Path) -> Self {
-        let mut child = Command::new(MBCR)
-            .args(["serve", "--listen", "127.0.0.1:0"])
-            .args(["--out", &out.display().to_string()])
-            .stdout(Stdio::piped())
-            .spawn()
-            .expect("spawn daemon");
-        let stdout = child.stdout.take().expect("daemon stdout");
-        let mut lines = BufReader::new(stdout).lines();
-        let addr = loop {
-            let line = lines
-                .next()
-                .expect("daemon exited before announcing its address")
-                .expect("read daemon stdout");
-            if let Some(addr) = line.strip_prefix("service listening on ") {
-                break addr.to_string();
-            }
-        };
-        std::thread::spawn(move || for _ in lines {});
-        Self { child, addr }
-    }
-}
-
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-fn spawn_worker(addr: &str) -> Child {
-    Command::new(MBCR)
-        .args(["worker", "--connect", addr])
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn worker")
-}
-
-fn submit(addr: &str, args: &[&str]) -> String {
-    let mut all = vec!["submit", "--connect", addr];
-    all.extend(args);
-    let stdout = run_ok(&all);
-    stdout
-        .lines()
-        .find_map(|l| l.strip_prefix("submitted "))
-        .expect("submit prints the sweep id")
-        .trim()
-        .to_string()
-}
+use common::{
+    assert_dirs_identical, assert_sweep_matches, max_campaign_resumed, run_ok, spawn_worker,
+    submit, tmp_dir, wait_for_slog_bytes, Daemon,
+};
 
 /// Blocks until every sweep on the daemon is terminal.
-fn follow_until_done(addr: &str) {
-    run_ok(&["report", "--connect", addr, "--follow"]);
-}
-
-/// Total bytes of campaign chunk logs currently in a store.
-fn slog_bytes(out: &Path) -> u64 {
-    let Ok(entries) = fs::read_dir(out.join("stages")) else {
-        return 0;
-    };
-    entries
-        .flatten()
-        .filter(|e| e.file_name().to_string_lossy().ends_with(".samples.slog"))
-        .filter_map(|e| e.metadata().ok())
-        .map(|m| m.len())
-        .sum()
+fn follow_until_done(url: &str) {
+    run_ok(&["report", "--connect", url, "--follow"]);
 }
 
 /// Sequential single-process reference: runs each spec with `mbcr sweep`
@@ -235,11 +96,11 @@ fn concurrent_overlapping_sweeps_dedup_and_match_sequential_runs_byte_for_byte()
         .iter()
         .map(|s| s.iter().map(String::as_str).collect())
         .collect();
-    let id_alpha = submit(&daemon.addr, &spec_refs[0]);
-    let id_beta = submit(&daemon.addr, &spec_refs[1]);
+    let id_alpha = submit(&daemon.url(), &spec_refs[0]);
+    let id_beta = submit(&daemon.url(), &spec_refs[1]);
     assert_ne!(id_alpha, id_beta);
     let mut workers: Vec<Child> = (0..2).map(|_| spawn_worker(&daemon.addr)).collect();
-    follow_until_done(&daemon.addr);
+    follow_until_done(&daemon.url());
     for w in &mut workers {
         let _ = w.kill();
         let _ = w.wait();
@@ -308,15 +169,11 @@ fn kill_daemon_mid_campaign(out: &Path, specs: &[Vec<String>]) -> u64 {
     let ids: Vec<String>;
     {
         let daemon = Daemon::spawn(out);
-        ids = spec_refs.iter().map(|s| submit(&daemon.addr, s)).collect();
+        ids = spec_refs.iter().map(|s| submit(&daemon.url(), s)).collect();
         let mut workers: Vec<Child> = (0..2).map(|_| spawn_worker(&daemon.addr)).collect();
         // Let the campaigns stream well past the convergence prefix, then
         // SIGKILL the daemon mid-flight.
-        let deadline = Instant::now() + Duration::from_secs(300);
-        while slog_bytes(out) < 8 * 1024 {
-            assert!(Instant::now() < deadline, "campaign logs never grew");
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        wait_for_slog_bytes(out, 8 * 1024);
         drop(daemon); // SIGKILL (Drop uses Child::kill)
         for w in &mut workers {
             let _ = w.kill();
@@ -327,8 +184,8 @@ fn kill_daemon_mid_campaign(out: &Path, specs: &[Vec<String>]) -> u64 {
     // bring both sweeps back, mid-campaign work adopted from chunk logs.
     let daemon = Daemon::spawn(out);
     let mut workers: Vec<Child> = (0..2).map(|_| spawn_worker(&daemon.addr)).collect();
-    follow_until_done(&daemon.addr);
-    let status = run_ok(&["status", "--connect", &daemon.addr]);
+    follow_until_done(&daemon.url());
+    let status = run_ok(&["status", "--connect", &daemon.url()]);
     for w in &mut workers {
         let _ = w.kill();
         let _ = w.wait();
@@ -340,22 +197,7 @@ fn kill_daemon_mid_campaign(out: &Path, specs: &[Vec<String>]) -> u64 {
         );
     }
     ids.iter()
-        .map(|id| {
-            let manifest = fs::read_to_string(out.join("sweeps").join(id).join("manifest.json"))
-                .expect("manifest after restart");
-            let doc = mbcr_json::parse(&manifest).expect("manifest parses");
-            doc.get("jobs")
-                .and_then(mbcr_json::Json::as_array)
-                .map(|jobs| {
-                    jobs.iter()
-                        .filter_map(|j| j.get("summary"))
-                        .filter_map(|s| s.get("campaign_resumed"))
-                        .filter_map(mbcr_json::Json::as_u64)
-                        .max()
-                        .unwrap_or(0)
-                })
-                .unwrap_or(0)
-        })
+        .map(|id| max_campaign_resumed(&out.join("sweeps").join(id).join("manifest.json")))
         .max()
         .unwrap_or(0)
 }
@@ -371,25 +213,12 @@ fn sigkilled_daemon_resumes_its_whole_queue_byte_identically() {
         let out = tmp_dir(&format!("daemon-kill-{attempt}"));
         resumed = kill_daemon_mid_campaign(&out, &specs);
         if resumed > 0 {
-            // Shared content identical to the clean sequential store...
-            assert_dirs_identical(&reference.join("jobs"), &out.join("jobs"), "jobs/");
-            assert_dirs_identical(&reference.join("stages"), &out.join("stages"), "stages/");
-            // ...and the per-sweep manifests/tables differ from the clean
+            // Shared content identical to the clean sequential store, and
+            // the per-sweep manifests/tables differ from the clean
             // references only in the resumed-run counts.
             let ids = ["s000-alpha", "s001-beta"];
             for (id, (ref_manifest, ref_table)) in ids.iter().zip(&captured) {
-                let scope = out.join("sweeps").join(id);
-                let manifest = fs::read_to_string(scope.join("manifest.json")).expect("manifest");
-                assert_eq!(
-                    normalize_manifest(&manifest),
-                    normalize_manifest(ref_manifest),
-                    "{id}: manifests must agree on everything but campaign_resumed"
-                );
-                assert_eq!(
-                    &fs::read_to_string(scope.join("table2.csv")).expect("table2"),
-                    ref_table,
-                    "{id}: table2 must match the clean reference"
-                );
+                assert_sweep_matches(&out, id, &reference, ref_manifest, ref_table);
             }
             let _ = fs::remove_dir_all(&out);
             break;
@@ -405,43 +234,18 @@ fn sigkilled_daemon_resumes_its_whole_queue_byte_identically() {
     let _ = fs::remove_dir_all(&reference);
 }
 
-/// One drain attempt: coord + two workers, SIGTERM one worker once the
-/// campaign logs have grown, assert it exits 0 (graceful drain), let the
-/// survivor finish. Returns the manifest's max resumed-run count (`0`
-/// when the drain missed every in-flight campaign).
+/// One drain attempt: a daemon plus two external workers, SIGTERM one
+/// worker once the campaign logs have grown, assert it exits 0 (graceful
+/// drain), let the survivor finish. Returns the sweep id and its
+/// manifest's max resumed-run count (`0` when the drain missed every
+/// in-flight campaign).
 #[cfg(unix)]
-fn drain_one_worker_mid_campaign(out: &Path, spec_args: &[&str]) -> u64 {
-    let mut coordinator = Command::new(MBCR)
-        .arg("coord")
-        .args(spec_args)
-        .args(["--out", &out.display().to_string()])
-        .args(["--listen", "127.0.0.1:0"])
-        .stdout(Stdio::piped())
-        .spawn()
-        .expect("spawn coordinator");
-    let stdout = coordinator.stdout.take().expect("coordinator stdout");
-    let mut lines = BufReader::new(stdout).lines();
-    let addr = loop {
-        let line = lines
-            .next()
-            .expect("coordinator exited before announcing its address")
-            .expect("read coordinator stdout");
-        if let Some(addr) = line.strip_prefix("coordinator listening on ") {
-            break addr.to_string();
-        }
-    };
-    std::thread::spawn(move || for _ in lines {});
-    let mut victim = spawn_worker(&addr);
-    let mut survivor = spawn_worker(&addr);
-
-    let deadline = Instant::now() + Duration::from_secs(300);
-    while slog_bytes(out) < 8 * 1024 {
-        assert!(Instant::now() < deadline, "campaign logs never grew");
-        if let Ok(Some(status)) = coordinator.try_wait() {
-            panic!("coordinator exited early with {status}");
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
+fn drain_one_worker_mid_campaign(out: &Path, spec_args: &[&str]) -> (String, u64) {
+    let daemon = Daemon::spawn(out);
+    let id = submit(&daemon.url(), spec_args);
+    let mut victim = spawn_worker(&daemon.addr);
+    let mut survivor = spawn_worker(&daemon.addr);
+    wait_for_slog_bytes(out, 8 * 1024);
     // SIGTERM, not SIGKILL: the worker must checkpoint, flush, send its
     // Drain frame, and exit zero.
     let term = Command::new("kill")
@@ -455,23 +259,20 @@ fn drain_one_worker_mid_campaign(out: &Path, spec_args: &[&str]) -> u64 {
         "a SIGTERM'd worker must drain gracefully and exit 0, got {drained}"
     );
 
-    let status = coordinator.wait().expect("wait for the coordinator");
+    // The follow exits 0 only once the sweep completed without a failed
+    // job: the survivor finished the drained worker's campaign.
+    run_ok(&[
+        "report",
+        "--connect",
+        &daemon.url(),
+        "--follow",
+        "--sweep",
+        &id,
+    ]);
     let _ = survivor.kill();
     let _ = survivor.wait();
-    assert!(
-        status.success(),
-        "the sweep must complete despite the drained worker"
-    );
-
-    let manifest = fs::read_to_string(out.join("manifest.json")).expect("manifest");
-    let doc = mbcr_json::parse(&manifest).expect("manifest parses");
-    let jobs = doc.get("jobs").and_then(mbcr_json::Json::as_array).unwrap();
-    jobs.iter()
-        .filter_map(|j| j.get("summary"))
-        .filter_map(|s| s.get("campaign_resumed"))
-        .filter_map(mbcr_json::Json::as_u64)
-        .max()
-        .unwrap_or(0)
+    let resumed = max_campaign_resumed(&out.join("sweeps").join(&id).join("manifest.json"));
+    (id, resumed)
 }
 
 #[cfg(unix)]
@@ -496,24 +297,15 @@ fn sigtermed_worker_drains_gracefully_and_the_fleet_adopts_its_campaign() {
     single.extend(["--out", &reference_out]);
     run_ok(&single);
     let ref_manifest = fs::read_to_string(reference.join("manifest.json")).expect("manifest");
+    let ref_table = fs::read_to_string(reference.join("table2.csv")).expect("table2");
 
     let mut resumed = 0;
     for attempt in 0..4 {
         let out = tmp_dir(&format!("drain-{attempt}"));
-        resumed = drain_one_worker_mid_campaign(&out, &spec_args);
+        let (id, count) = drain_one_worker_mid_campaign(&out, &spec_args);
+        resumed = count;
         if resumed > 0 {
-            let manifest = fs::read_to_string(out.join("manifest.json")).expect("manifest");
-            assert_eq!(
-                normalize_manifest(&manifest),
-                normalize_manifest(&ref_manifest),
-                "manifests must agree on everything but campaign_resumed"
-            );
-            assert_dirs_identical(&reference.join("jobs"), &out.join("jobs"), "jobs/");
-            assert_dirs_identical(&reference.join("stages"), &out.join("stages"), "stages/");
-            assert_eq!(
-                fs::read_to_string(out.join("table2.csv")).expect("table2"),
-                fs::read_to_string(reference.join("table2.csv")).expect("table2"),
-            );
+            assert_sweep_matches(&out, &id, &reference, &ref_manifest, &ref_table);
             let _ = fs::remove_dir_all(&out);
             break;
         }

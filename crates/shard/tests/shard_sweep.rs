@@ -4,93 +4,22 @@
 //! * `mbcr sweep --shards N` produces a manifest, Table 2 CSV and sample
 //!   chunk logs **byte-identical** to a single-process `mbcr sweep`;
 //! * a worker killed with SIGKILL mid-campaign costs nothing: its jobs
-//!   re-lease to the surviving worker, which *adopts* the in-flight
-//!   campaign from the coordinator's chunk log, the manifest marks the
-//!   job resumed, and every artifact still matches the single-process
-//!   run byte-for-byte (the manifest differing only in the resumed-run
-//!   count).
+//!   re-lease to the surviving worker of the daemon's fleet, which
+//!   *adopts* the in-flight campaign from the daemon's chunk log, the
+//!   manifest marks the job resumed, and every artifact still matches
+//!   the single-process run byte-for-byte (the manifest differing only
+//!   in the resumed-run count).
+
+mod common;
 
 use std::fs;
-use std::io::{BufRead, BufReader};
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+use std::path::Path;
+use std::process::Child;
 
-const MBCR: &str = env!("CARGO_BIN_EXE_mbcr");
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mbcr-shard-e2e-{tag}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    dir
-}
-
-/// Every file under a store, relative path → bytes, in sorted order.
-/// `*.tmpN` strays a `kill -9`'d writer left mid-`write_atomic` are
-/// skipped — store scans ignore them; they are not artifacts.
-fn snapshot(root: &Path) -> Vec<(String, Vec<u8>)> {
-    fn walk(dir: &Path, root: &Path, out: &mut Vec<(String, Vec<u8>)>) {
-        for entry in fs::read_dir(dir).expect("read_dir").flatten() {
-            let path = entry.path();
-            if path.is_dir() {
-                walk(&path, root, out);
-            } else if path
-                .extension()
-                .is_some_and(|e| e.to_string_lossy().starts_with("tmp"))
-            {
-                continue;
-            } else {
-                let rel = path
-                    .strip_prefix(root)
-                    .expect("under root")
-                    .to_string_lossy()
-                    .into_owned();
-                out.push((rel, fs::read(&path).expect("read file")));
-            }
-        }
-    }
-    let mut out = Vec::new();
-    walk(root, root, &mut out);
-    out.sort_by(|a, b| a.0.cmp(&b.0));
-    out
-}
-
-fn assert_stores_identical(a: &Path, b: &Path, ignore: &[&str]) {
-    let snap_a = snapshot(a);
-    let snap_b = snapshot(b);
-    let names = |snap: &[(String, Vec<u8>)]| -> Vec<String> {
-        snap.iter()
-            .map(|(n, _)| n.clone())
-            .filter(|n| !ignore.contains(&n.as_str()))
-            .collect()
-    };
-    assert_eq!(names(&snap_a), names(&snap_b), "store file sets differ");
-    for ((name_a, bytes_a), (name_b, bytes_b)) in snap_a.iter().zip(&snap_b) {
-        assert_eq!(name_a, name_b);
-        if ignore.contains(&name_a.as_str()) {
-            continue;
-        }
-        assert_eq!(
-            bytes_a,
-            bytes_b,
-            "{name_a} differs between {} and {}",
-            a.display(),
-            b.display()
-        );
-    }
-}
-
-fn run_ok(args: &[&str]) {
-    let output = Command::new(MBCR)
-        .args(args)
-        .stdout(Stdio::null())
-        .output()
-        .expect("spawn mbcr");
-    assert!(
-        output.status.success(),
-        "mbcr {args:?} failed:\n{}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-}
+use common::{
+    assert_dirs_identical, assert_sweep_matches, max_campaign_resumed, run_ok, spawn_worker,
+    submit, tmp_dir, wait_for_slog_bytes, Daemon,
+};
 
 #[test]
 fn sharded_sweep_matches_single_process_byte_for_byte() {
@@ -119,7 +48,7 @@ fn sharded_sweep_matches_single_process_byte_for_byte() {
 
     // Everything — manifest, table2.csv, stage artifacts, chunk logs, job
     // artifacts and job sample logs — must match byte-for-byte.
-    assert_stores_identical(&dir_single, &dir_sharded, &[]);
+    assert_dirs_identical(&dir_single, &dir_sharded, "store");
 
     // A second sharded pass over the same store is fully cached: the
     // manifest reports zero executions.
@@ -145,113 +74,38 @@ fn sharded_sweep_matches_single_process_byte_for_byte() {
     let _ = fs::remove_dir_all(&dir_sharded);
 }
 
-struct Fleet {
-    coordinator: Child,
-    workers: Vec<Child>,
-}
-
-impl Drop for Fleet {
-    fn drop(&mut self) {
-        for child in self.workers.iter_mut().chain([&mut self.coordinator]) {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-    }
-}
-
-/// Spawns `mbcr coord` on an ephemeral port plus two workers.
-fn spawn_fleet(out: &Path, spec_args: &[&str]) -> (Fleet, String) {
-    let mut coordinator = Command::new(MBCR)
-        .arg("coord")
-        .args(spec_args)
-        .args(["--out", &out.display().to_string()])
-        .args(["--listen", "127.0.0.1:0"])
-        .stdout(Stdio::piped())
-        .spawn()
-        .expect("spawn coordinator");
-    let stdout = coordinator.stdout.take().expect("coordinator stdout");
-    let mut lines = BufReader::new(stdout).lines();
-    let addr = loop {
-        let line = lines
-            .next()
-            .expect("coordinator exited before announcing its address")
-            .expect("read coordinator stdout");
-        if let Some(addr) = line.strip_prefix("coordinator listening on ") {
-            break addr.to_string();
-        }
-    };
-    // Drain the rest of the coordinator's stdout in the background so it
-    // never blocks on a full pipe.
-    std::thread::spawn(move || for _ in lines {});
-    let workers = (0..2)
-        .map(|_| {
-            Command::new(MBCR)
-                .args(["worker", "--connect", &addr])
-                .stdout(Stdio::null())
-                .spawn()
-                .expect("spawn worker")
-        })
-        .collect();
-    (
-        Fleet {
-            coordinator,
-            workers,
-        },
-        addr,
-    )
-}
-
-/// Total bytes of campaign chunk logs currently in a store.
-fn slog_bytes(out: &Path) -> u64 {
-    let Ok(entries) = fs::read_dir(out.join("stages")) else {
-        return 0;
-    };
-    entries
-        .flatten()
-        .filter(|e| e.file_name().to_string_lossy().ends_with(".samples.slog"))
-        .filter_map(|e| e.metadata().ok())
-        .map(|m| m.len())
-        .sum()
-}
-
-/// One kill attempt: fleet up, SIGKILL one worker once campaign logs have
-/// grown well past the convergence prefix, let the sweep finish. Returns
-/// the resumed-run count found in the manifest (`0` when the kill missed
-/// every in-flight campaign — the caller retries).
-fn kill_one_worker_mid_campaign(out: &Path, spec_args: &[&str]) -> u64 {
-    let (mut fleet, _addr) = spawn_fleet(out, spec_args);
+/// One kill attempt: a daemon plus two external workers run the sweep;
+/// SIGKILL one worker once campaign logs have grown well past the
+/// convergence prefix, and let the survivor finish. Returns the sweep id
+/// and the resumed-run count found in its manifest (`0` when the kill
+/// missed every in-flight campaign — the caller retries).
+fn kill_one_worker_mid_campaign(out: &Path, spec_args: &[&str]) -> (String, u64) {
+    let daemon = Daemon::spawn(out);
+    let id = submit(&daemon.url(), spec_args);
+    let mut workers: Vec<Child> = (0..2).map(|_| spawn_worker(&daemon.addr)).collect();
     // ~4k runs of delta-varint samples: past R_pub (~1k for bs), well
     // inside the ~21k-run campaigns.
-    let deadline = Instant::now() + Duration::from_secs(300);
-    while slog_bytes(out) < 8 * 1024 {
-        assert!(
-            Instant::now() < deadline,
-            "campaign logs never grew; coordinator stuck?"
-        );
-        if let Ok(Some(status)) = fleet.coordinator.try_wait() {
-            panic!("coordinator exited early with {status}");
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    let victim = &mut fleet.workers[0];
+    wait_for_slog_bytes(out, 8 * 1024);
+    let victim = &mut workers[0];
     victim.kill().expect("SIGKILL the worker");
     victim.wait().expect("reap the worker");
 
-    let status = fleet.coordinator.wait().expect("wait for the coordinator");
-    assert!(
-        status.success(),
-        "the sweep must complete despite the killed worker"
-    );
-
-    let manifest = fs::read_to_string(out.join("manifest.json")).expect("manifest");
-    let doc = mbcr_json::parse(&manifest).expect("manifest parses");
-    let jobs = doc.get("jobs").and_then(mbcr_json::Json::as_array).unwrap();
-    jobs.iter()
-        .filter_map(|j| j.get("summary"))
-        .filter_map(|s| s.get("campaign_resumed"))
-        .filter_map(mbcr_json::Json::as_u64)
-        .max()
-        .unwrap_or(0)
+    // The follow exits 0 only once the sweep completed without a failed
+    // job, despite the killed worker.
+    run_ok(&[
+        "report",
+        "--connect",
+        &daemon.url(),
+        "--follow",
+        "--sweep",
+        &id,
+    ]);
+    for w in &mut workers {
+        let _ = w.kill();
+        let _ = w.wait();
+    }
+    let resumed = max_campaign_resumed(&out.join("sweeps").join(&id).join("manifest.json"));
+    (id, resumed)
 }
 
 #[test]
@@ -277,6 +131,8 @@ fn killed_worker_mid_campaign_resumes_and_reproduces_every_artifact() {
     let reference_out = reference.display().to_string();
     single.extend(["--out", &reference_out]);
     run_ok(&single);
+    let ref_manifest = fs::read_to_string(reference.join("manifest.json")).expect("manifest");
+    let ref_table = fs::read_to_string(reference.join("table2.csv")).expect("table2");
 
     // The kill can race a campaign's completion; retry on a fresh store
     // until it lands mid-flight (the first attempt almost always does —
@@ -284,27 +140,15 @@ fn killed_worker_mid_campaign_resumes_and_reproduces_every_artifact() {
     let mut resumed = 0;
     for attempt in 0..4 {
         let out = tmp_dir(&format!("kill-sharded-{attempt}"));
-        resumed = kill_one_worker_mid_campaign(&out, &spec_args);
+        let (id, count) = kill_one_worker_mid_campaign(&out, &spec_args);
+        resumed = count;
         if resumed > 0 {
             // The manifest marks the adopted campaign resumed; everything
             // else — table2.csv, stage artifacts, chunk logs, job
             // artifacts and job sample logs — matches the single-process
             // store byte-for-byte. The manifest itself differs *only* in
             // that resumed-run count.
-            assert_stores_identical(&reference, &out, &["manifest.json"]);
-            let normalize = |path: &Path| {
-                let manifest = fs::read_to_string(path.join("manifest.json")).unwrap();
-                manifest
-                    .lines()
-                    .filter(|l| !l.contains("\"campaign_resumed\""))
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            };
-            assert_eq!(
-                normalize(&reference),
-                normalize(&out),
-                "manifests must agree on everything but the resume count"
-            );
+            assert_sweep_matches(&out, &id, &reference, &ref_manifest, &ref_table);
             let _ = fs::remove_dir_all(&out);
             break;
         }
