@@ -7,7 +7,7 @@
 
 use mbcr::{analyze_pub_tac, AnalysisConfig};
 use mbcr_bench::{banner, harness_config, scaled, Table};
-use mbcr_cpu::{campaign_parallel, PlatformConfig};
+use mbcr_cpu::{campaign_slice_with, Parallelism, PlatformConfig};
 use mbcr_evt::{Dither, FitMethod, Pwcet, TailConfig};
 use mbcr_ir::execute;
 use mbcr_pub::{pub_transform, PubConfig};
@@ -56,7 +56,14 @@ fn ablate_tail_model(cfg: &AnalysisConfig) {
     let trace = execute(&pubbed.program, &b.default_input)
         .expect("run")
         .trace;
-    let sample = campaign_parallel(&cfg.platform, &trace, scaled(50_000), 0xAB2B, cfg.threads);
+    let sample = campaign_slice_with(
+        &cfg.platform,
+        &trace,
+        0,
+        scaled(50_000),
+        0xAB2B,
+        &Parallelism::with_threads(cfg.threads),
+    );
 
     let mut t = Table::new(&["model", "pWCET@1e-9", "pWCET@1e-12"]);
     for (label, method) in [
@@ -130,7 +137,14 @@ fn ablate_platform(cfg: &AnalysisConfig) {
             PlatformConfig::deterministic(),
         ),
     ] {
-        let times = campaign_parallel(&platform, &trace, 1000, 0xAB4D, cfg.threads);
+        let times = campaign_slice_with(
+            &platform,
+            &trace,
+            0,
+            1000,
+            0xAB4D,
+            &Parallelism::with_threads(cfg.threads),
+        );
         let distinct: std::collections::HashSet<u64> = times.iter().copied().collect();
         t.row(&[
             label,

@@ -7,7 +7,7 @@
 //! size). Writes `fig2_bs_eccdf.csv` with the full curves.
 
 use mbcr_bench::{banner, harness_config, scaled, write_csv, Table};
-use mbcr_cpu::campaign_parallel;
+use mbcr_cpu::{campaign_slice_with, Parallelism};
 use mbcr_evt::Eccdf;
 use mbcr_ir::execute;
 use mbcr_pub::{pub_transform, PubConfig};
@@ -28,8 +28,22 @@ fn main() {
         let pub_trace = execute(&pubbed.program, &v.inputs)
             .expect("run bs_pub")
             .trace;
-        let orig_times = campaign_parallel(&cfg.platform, &orig_trace, runs, 0xF162, cfg.threads);
-        let pub_times = campaign_parallel(&cfg.platform, &pub_trace, runs, 0xF162, cfg.threads);
+        let orig_times = campaign_slice_with(
+            &cfg.platform,
+            &orig_trace,
+            0,
+            runs,
+            0xF162,
+            &Parallelism::with_threads(cfg.threads),
+        );
+        let pub_times = campaign_slice_with(
+            &cfg.platform,
+            &pub_trace,
+            0,
+            runs,
+            0xF162,
+            &Parallelism::with_threads(cfg.threads),
+        );
         orig_curves.push((v.name.clone(), Eccdf::from_u64(&orig_times)));
         pub_curves.push((v.name.clone(), Eccdf::from_u64(&pub_times)));
     }

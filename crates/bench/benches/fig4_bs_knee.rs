@@ -8,7 +8,7 @@
 //! 600 000 = 10× scaled).
 
 use mbcr_bench::{banner, harness_config, scaled, write_csv, Table};
-use mbcr_cpu::campaign_parallel;
+use mbcr_cpu::{campaign_slice_with, Parallelism};
 use mbcr_evt::{Dither, Eccdf, FitMethod, Pwcet, TailConfig};
 use mbcr_ir::execute;
 use mbcr_pub::{pub_transform, PubConfig};
@@ -55,7 +55,14 @@ fn main() {
         .clamp(r_pub, scaled(100_000));
     let long = scaled(600_000);
 
-    let times_long = campaign_parallel(&cfg.platform, &trace, long, seed, cfg.threads);
+    let times_long = campaign_slice_with(
+        &cfg.platform,
+        &trace,
+        0,
+        long,
+        seed,
+        &Parallelism::with_threads(cfg.threads),
+    );
     let times_pub = &times_long[..r_pub];
     let times_pt = &times_long[..r_pt];
 

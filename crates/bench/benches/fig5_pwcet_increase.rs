@@ -16,7 +16,7 @@
 
 use mbcr::analyze_pub_tac;
 use mbcr_bench::{banner, harness_config, scaled, write_csv, Table};
-use mbcr_cpu::campaign_parallel;
+use mbcr_cpu::{campaign_slice_with, Parallelism};
 use mbcr_evt::{Dither, FitMethod, Pwcet, TailConfig};
 use mbcr_ir::execute;
 use mbcr_malardalen::BenchClass;
@@ -54,19 +54,21 @@ fn main() {
                 .unwrap_or_else(|e| panic!("{}: {e}", b.name))
                 .trace
         };
-        let orig_sample = campaign_parallel(
+        let orig_sample = campaign_slice_with(
             &cfg.platform,
             &orig_trace,
+            0,
             baseline_runs,
             0xF165,
-            cfg.threads,
+            &Parallelism::with_threads(cfg.threads),
         );
-        let pub_sample = campaign_parallel(
+        let pub_sample = campaign_slice_with(
             &cfg.platform,
             &pub_trace,
+            0,
             baseline_runs,
             0xF165,
-            cfg.threads,
+            &Parallelism::with_threads(cfg.threads),
         );
         let pt = analyze_pub_tac(&b.program, &b.default_input, &cfg)
             .unwrap_or_else(|e| panic!("{}: {e}", b.name));

@@ -4,12 +4,11 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use mbcr_cache::{Cache, CacheGeometry, PlacementPolicy, ReplacementPolicy};
 use mbcr_cpu::{
-    campaign, campaign_slice, campaign_slice_with, CompiledCampaign, Parallelism, PlatformConfig,
-    DEFAULT_BATCH_WIDTH,
+    campaign_slice_with, CompiledCampaign, Parallelism, PlatformConfig, DEFAULT_BATCH_WIDTH,
 };
 use mbcr_ir::execute;
 use mbcr_json::Json;
-use mbcr_trace::{LineId, SymSeq};
+use mbcr_trace::LineId;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -56,10 +55,11 @@ fn bench_campaign(c: &mut Criterion) {
         .expect("run bs")
         .trace;
     let cfg = PlatformConfig::paper_default();
+    let serial = Parallelism::serial().batch_width(1);
     let mut group = c.benchmark_group("campaign");
     group.throughput(Throughput::Elements(100 * trace.len() as u64));
     group.bench_function("bs_100_runs", |b| {
-        b.iter(|| black_box(campaign(&cfg, &trace, 100, 7)));
+        b.iter(|| black_box(campaign_slice_with(&cfg, &trace, 0, 100, 7, &serial)));
     });
     group.finish();
 }
@@ -94,7 +94,8 @@ fn converge_shaped(
 /// Serial vs batched campaign throughput on a `table2_runs`-shaped
 /// workload (bs trace, paper-default geometry), plus a convergence-shaped
 /// row (300 runs, then 100-run steps) comparing one [`CompiledCampaign`]
-/// with a serial [`campaign_slice`] per step, written to
+/// with a one-shot width-1 [`campaign_slice_with`] per step (the trace
+/// resolved and the serial kernel built anew each step), written to
 /// `BENCH_campaign.json` at the workspace root.
 ///
 /// Timing is best-of-`reps` wall clock over the full slice, not
@@ -114,8 +115,8 @@ fn bench_campaign_batched(_c: &mut Criterion) {
         .expect("run bs")
         .trace;
     let cfg = PlatformConfig::paper_default();
-    let serial = Parallelism::with_threads(1).batch_width(1);
-    let batched = Parallelism::with_threads(1).batch_width(width);
+    let serial = Parallelism::serial().batch_width(1);
+    let batched = Parallelism::serial().batch_width(width);
 
     // Warm-up doubles as the bit-identity check the batched path promises.
     let a = campaign_slice_with(&cfg, &trace, 0, runs, 7, &serial);
@@ -142,7 +143,7 @@ fn bench_campaign_batched(_c: &mut Criterion) {
     // per campaign, inside the timed region, as the converge stage does.
     let per_step = || {
         converge_shaped(converge_runs, converge_initial, converge_step, |at, n| {
-            campaign_slice(&cfg, &trace, at, n, 7)
+            campaign_slice_with(&cfg, &trace, at, n, 7, &serial)
         })
     };
     let compiled = || {
@@ -226,9 +227,3 @@ criterion_group! {
     targets = bench_cache_access, bench_campaign, bench_campaign_batched
 }
 criterion_main!(benches);
-
-// Silence the unused-import lint if SymSeq stops being needed.
-#[allow(dead_code)]
-fn _keep(s: &str) -> SymSeq {
-    s.parse().expect("valid")
-}

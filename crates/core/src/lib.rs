@@ -91,8 +91,7 @@ pub mod prelude {
     };
     pub use mbcr_cache::{Cache, CacheGeometry, PlacementPolicy, ReplacementPolicy};
     pub use mbcr_cpu::{
-        campaign, campaign_parallel, campaign_with, LatencyConfig, Parallelism, Platform,
-        PlatformConfig,
+        campaign_slice_with, CompiledCampaign, LatencyConfig, Parallelism, Platform, PlatformConfig,
     };
     pub use mbcr_evt::{ConvergenceConfig, Dither, Eccdf, FitMethod, Pwcet, TailConfig};
     pub use mbcr_ir::{execute, Expr, Inputs, Program, ProgramBuilder, Stmt};

@@ -292,8 +292,9 @@ mbcr_json::impl_serialize_struct!(PubTacAnalysis {
     pwcet_pub_tac,
     pwcet,
     iid,
-    sample,
     trace_len,
+} skip {
+    sample
 });
 mbcr_json::impl_serialize_struct!(MultipathAnalysis {
     per_input,

@@ -44,7 +44,7 @@
 //!   sample) because the full output does not round-trip economically.
 //!
 //! The campaign stage is restart-safe at two granularities. Runs are
-//! seeded by absolute index ([`mbcr_cpu::campaign_slice_with`]), so it
+//! seeded by absolute index ([`mbcr_cpu::CompiledCampaign`]), so it
 //! prepends the cached convergence sample and simulates only the tail;
 //! and because it checkpoints completed chunks to the sample log as it
 //! goes, a killed campaign resumes from its last checkpoint — losing at
@@ -86,7 +86,7 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 
 use mbcr_cache::CacheGeometry;
-use mbcr_cpu::{campaign_slice_chunked, CompiledCampaign, Parallelism, PlatformConfig};
+use mbcr_cpu::{CompiledCampaign, Parallelism, PlatformConfig};
 use mbcr_evt::{converge, ConvergenceConfig, IidReport, Pwcet};
 use mbcr_ir::{
     classify, execute, group_inputs_by_path, Inputs, PathSpace, Program, Rollup, RollupSide,
@@ -905,13 +905,15 @@ impl<'i, 'c> AnalysisStage<'i> for CampaignStage<'c> {
         let mut writer = CheckpointWriter::new(self.checkpoint, runs, durable, &sample[durable..]);
         if writer.error.is_none() && sample.len() < runs {
             let interval = self.checkpoint.map_or(0, |c| c.interval);
-            let tail = campaign_slice_chunked(
+            let tail = CompiledCampaign::new(
                 self.platform,
                 input.trace,
-                sample.len(),
-                runs - sample.len(),
                 self.campaign_seed,
                 &self.parallelism,
+            )
+            .slice_chunked(
+                sample.len(),
+                runs - sample.len(),
                 interval,
                 // An append failure aborts the simulation right away — a
                 // paper-scale campaign must not burn hours producing a
@@ -1500,7 +1502,7 @@ pub fn cache_class_digest(program: &Program, il1: CacheGeometry, dl1: CacheGeome
 /// Computes (or loads) the hit/miss classification rollup of `program`
 /// under the `il1`/`dl1` geometries, persisting the artifact under
 /// [`cache_class_digest`] when a store is given — the digest-keyed entry
-/// point sweep drivers and the metrics scrape use.
+/// point sweep drivers use (the metrics scrape passes no store).
 ///
 /// # Errors
 ///
@@ -2438,8 +2440,9 @@ mod tests {
         let trace: Trace = (0..48).map(|i| Access::read(i * 32)).collect();
         let seed = 7;
         let runs = 500;
-        let prefix = mbcr_cpu::campaign_slice(&platform, &trace, 0, 120, seed);
-        let reference = mbcr_cpu::campaign(&platform, &trace, runs, seed);
+        let serial = Parallelism::serial();
+        let prefix = mbcr_cpu::campaign_slice_with(&platform, &trace, 0, 120, seed, &serial);
+        let reference = mbcr_cpu::campaign_slice_with(&platform, &trace, 0, runs, seed, &serial);
         fn stage_at<'c>(
             platform: &'c PlatformConfig,
             store: &'c dyn StageStore,

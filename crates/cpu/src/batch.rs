@@ -19,7 +19,7 @@ use crate::{LatencyConfig, PlatformConfig, ResolvedTrace};
 /// # Examples
 ///
 /// ```
-/// use mbcr_cpu::{campaign, BatchPlatform, PlatformConfig, ResolvedTrace};
+/// use mbcr_cpu::{campaign_slice_with, BatchPlatform, Parallelism, PlatformConfig, ResolvedTrace};
 /// use mbcr_rng::derive_seed;
 /// use mbcr_trace::{Access, Trace};
 ///
@@ -28,7 +28,8 @@ use crate::{LatencyConfig, PlatformConfig, ResolvedTrace};
 /// let rt = ResolvedTrace::resolve(&cfg, &trace);
 /// let seeds: Vec<u64> = (0..8).map(|i| derive_seed(42, i)).collect();
 /// let mut batch = BatchPlatform::new(&cfg, &seeds);
-/// assert_eq!(batch.run_resolved(&rt), campaign(&cfg, &trace, 8, 42));
+/// let serial = Parallelism::serial().batch_width(1);
+/// assert_eq!(batch.run_resolved(&rt), campaign_slice_with(&cfg, &trace, 0, 8, 42, &serial));
 /// ```
 #[derive(Debug, Clone)]
 pub struct BatchPlatform {

@@ -396,7 +396,7 @@ impl FastCampaign {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{campaign_slice, LatencyConfig, Platform};
+    use crate::{LatencyConfig, Platform};
     use mbcr_cache::CacheGeometry;
     use mbcr_trace::{Access, Trace};
 
@@ -475,7 +475,7 @@ mod tests {
                     .collect();
                 let mut got = vec![0u64; width];
                 fast.run_pass(&seeds, &mut got);
-                let mut platform = Platform::new(&cfg, 0);
+                let mut platform = Platform::for_run(&cfg, 0);
                 let want: Vec<u64> = seeds
                     .iter()
                     .map(|&s| platform.run_randomized_resolved(&rt, s))
@@ -501,7 +501,7 @@ mod tests {
     }
 
     #[test]
-    fn pass_results_match_campaign_slice() {
+    fn pass_results_match_unresolved_platform_runs() {
         let cfg = paper_cfg();
         let trace = mixed_trace(229, 2048, 21);
         let rt = ResolvedTrace::resolve(&cfg, &trace);
@@ -509,6 +509,11 @@ mod tests {
         let seeds: Vec<u64> = (5..21).map(|i| mbcr_rng::derive_seed(42, i)).collect();
         let mut got = vec![0u64; seeds.len()];
         fast.run_pass(&seeds, &mut got);
-        assert_eq!(got, campaign_slice(&cfg, &trace, 5, 16, 42));
+        let mut platform = Platform::for_run(&cfg, 0);
+        let want: Vec<u64> = seeds
+            .iter()
+            .map(|&s| platform.run_randomized(&trace, s))
+            .collect();
+        assert_eq!(got, want);
     }
 }

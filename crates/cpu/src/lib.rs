@@ -15,25 +15,27 @@
 //!   re-randomizing both caches ([`Platform::run_randomized`]), so all
 //!   run-to-run execution-time variability comes from the random cache
 //!   layout — exactly the MBPTA setting;
-//! * a [`campaign`] collects `R` execution times with per-run seeds derived
-//!   deterministically from one master seed (bit-identical results whether
-//!   run serially or with [`campaign_parallel`]);
-//! * the campaign drivers compile a seed stream once
-//!   ([`CompiledCampaign`]): the trace resolves to line ids
-//!   ([`ResolvedTrace`]) and one kernel sweeps up to
-//!   [`Parallelism::batch_width`] layouts per trace pass
-//!   ([`BatchPlatform`]) — pure throughput knobs: the sample is
+//! * a *campaign* collects `R` execution times with run `i` seeded
+//!   `derive_seed(master_seed, i)`, so any slice of the seed stream can be
+//!   simulated on its own and slices concatenate to the full campaign;
+//! * every campaign compiles its seed stream once ([`CompiledCampaign`]):
+//!   the trace resolves to line ids ([`ResolvedTrace`]) and one kernel
+//!   sweeps up to [`Parallelism::batch_width`] layouts per trace pass
+//!   ([`BatchPlatform`]), optionally split across
+//!   [`Parallelism::threads`] — pure throughput knobs: the sample is
 //!   bit-identical at every thread count and batch width.
+//!   [`campaign_slice_with`] is the one-shot form, and
+//!   [`CompiledCampaign::slice_chunked`] the checkpointing one.
 //!
 //! # Examples
 //!
 //! ```
-//! use mbcr_cpu::{campaign, Platform, PlatformConfig};
+//! use mbcr_cpu::{campaign_slice_with, Parallelism, PlatformConfig};
 //! use mbcr_trace::{Access, Trace};
 //!
 //! let cfg = PlatformConfig::paper_default();
 //! let trace: Trace = [Access::fetch(0x0), Access::read(0x8000)].into_iter().collect();
-//! let times = campaign(&cfg, &trace, 10, 42);
+//! let times = campaign_slice_with(&cfg, &trace, 0, 10, 42, &Parallelism::serial());
 //! assert_eq!(times.len(), 10);
 //! // Two cold misses on every run: both accesses miss once each.
 //! let expected = 2 * cfg.latency.il1_miss.max(cfg.latency.dl1_miss);
@@ -155,33 +157,12 @@ pub struct Platform {
 }
 
 impl Platform {
-    /// Builds a platform; IL1 and DL1 receive independent streams derived
-    /// from `seed`.
-    #[must_use]
-    pub fn new(cfg: &PlatformConfig, seed: u64) -> Self {
-        Self {
-            il1: Cache::new(
-                cfg.il1,
-                cfg.placement,
-                cfg.replacement,
-                derive_seed(seed, 0),
-            ),
-            dl1: Cache::new(
-                cfg.dl1,
-                cfg.placement,
-                cfg.replacement,
-                derive_seed(seed, 1),
-            ),
-            latency: cfg.latency,
-        }
-    }
-
     /// Builds a platform already flushed and seeded for measurement run
-    /// `run_seed` — state-identical to [`Platform::new`] followed by the
-    /// reseed [`run_randomized`](Platform::run_randomized) performs, without
-    /// deriving (and immediately discarding) a construction-time RNG state.
-    /// Campaign drivers build their platform this way from the first run
-    /// seed and [`reseed`](Platform::reseed) for subsequent runs.
+    /// `run_seed`: IL1 and DL1 receive independent streams derived from
+    /// it. Campaign drivers build their platform this way from the first
+    /// run seed and [`reseed`](Platform::reseed) for every later run —
+    /// `for_run(a)` followed by `reseed(b)` is state-identical to
+    /// `for_run(b)`.
     #[must_use]
     pub fn for_run(cfg: &PlatformConfig, run_seed: u64) -> Self {
         Self {
@@ -299,38 +280,6 @@ impl Platform {
     }
 }
 
-/// Collects `runs` execution times of `trace`, with run `i` seeded as
-/// `derive_seed(master_seed, i)`.
-///
-/// On an MBPTA-compliant platform the resulting sample is i.i.d. by
-/// construction (independent placement seeds per run) — the property MBPTA
-/// requires of its input measurements.
-#[must_use]
-pub fn campaign(cfg: &PlatformConfig, trace: &Trace, runs: usize, master_seed: u64) -> Vec<u64> {
-    campaign_slice(cfg, trace, 0, runs, master_seed)
-}
-
-/// Collects the execution times of runs `start .. start + runs` of the seed
-/// stream defined by `master_seed` — the incremental form of [`campaign`]
-/// (each slice extends the same deterministic stream, so `campaign(n)`
-/// equals the concatenation of slices covering `0..n`).
-///
-/// This is the serial (one layout at a time) loop, the reference stream
-/// every batched and parallel variant must match bit for bit. Drivers that
-/// take many slices of one stream compile it once instead
-/// ([`CompiledCampaign`]).
-#[must_use]
-pub fn campaign_slice(
-    cfg: &PlatformConfig,
-    trace: &Trace,
-    start: usize,
-    runs: usize,
-    master_seed: u64,
-) -> Vec<u64> {
-    let serial = Parallelism::serial().batch_width(1);
-    CompiledCampaign::new(cfg, trace, master_seed, &serial).slice(start, runs)
-}
-
 /// One seed stream compiled for repeated slicing: the trace resolved to
 /// line ids once ([`ResolvedTrace`]) and the simulation kernel picked
 /// once — the specialized 2-way random-replacement kernel where the
@@ -340,22 +289,24 @@ pub fn campaign_slice(
 /// (MBPTA convergence extends its sample 100 runs at a time) pays the
 /// set-up once, not per slice.
 ///
-/// Every slice is bit-identical to [`campaign_slice`] at any
-/// [`Parallelism`] setting: run `i` is always seeded
-/// `derive_seed(master_seed, i)`.
+/// Run `i` is always seeded `derive_seed(master_seed, i)`, so every slice
+/// is bit-identical to the one-layout-at-a-time [`Platform`] loop at any
+/// [`Parallelism`] setting, and slices taken in any order concatenate to
+/// the same stream.
 ///
 /// # Examples
 ///
 /// ```
-/// use mbcr_cpu::{campaign, CompiledCampaign, Parallelism, PlatformConfig};
+/// use mbcr_cpu::{campaign_slice_with, CompiledCampaign, Parallelism, PlatformConfig};
 /// use mbcr_trace::{Access, Trace};
 ///
 /// let cfg = PlatformConfig::paper_default();
 /// let trace: Trace = [Access::fetch(0x0), Access::read(0x8000)].into_iter().collect();
-/// let mut compiled = CompiledCampaign::new(&cfg, &trace, 42, &Parallelism::serial());
+/// let par = Parallelism::serial();
+/// let mut compiled = CompiledCampaign::new(&cfg, &trace, 42, &par);
 /// let mut sample = compiled.slice(0, 300);
 /// sample.extend(compiled.slice(300, 100));
-/// assert_eq!(sample, campaign(&cfg, &trace, 400, 42));
+/// assert_eq!(sample, campaign_slice_with(&cfg, &trace, 0, 400, 42, &par));
 /// ```
 #[derive(Debug, Clone)]
 pub struct CompiledCampaign {
@@ -427,6 +378,60 @@ impl CompiledCampaign {
                 scope.spawn(move || worker.run_passes(start + t * part, slot));
             }
         });
+        out
+    }
+
+    /// [`slice`](Self::slice) driven in chunks, for drivers that persist
+    /// partial campaigns: simulates runs `start .. start + runs`, invoking
+    /// `sink` after each completed chunk with the chunk's absolute start
+    /// index and its execution times, and returns the whole slice. `sink`
+    /// returns whether to keep going — returning `false` (say, the
+    /// checkpoint medium failed) stops the simulation immediately instead
+    /// of burning through the rest of a possibly enormous campaign, and
+    /// the truncated slice is returned as-is for the caller to discard or
+    /// salvage.
+    ///
+    /// Chunk boundaries land on multiples of `chunk_runs` in *absolute*
+    /// run-index space ([`next_chunk_boundary`]; the final chunk is
+    /// whatever remains), so a checkpoint log fed by `sink` has the same
+    /// chunk layout no matter where the slice starts — an
+    /// interrupted-then-resumed campaign replays the grid, not an offset
+    /// of it. `chunk_runs == 0` simulates the slice as one chunk. Layout
+    /// batches never straddle a chunk boundary, so
+    /// [`Parallelism::batch_width`] clamps to the checkpoint grid for
+    /// free. The returned sample equals [`slice`](Self::slice) for every
+    /// chunking (when the sink never aborts).
+    pub fn slice_chunked(
+        &mut self,
+        start: usize,
+        runs: usize,
+        chunk_runs: usize,
+        mut sink: impl FnMut(usize, &[u64]) -> bool,
+    ) -> Vec<u64> {
+        let mut out = Vec::with_capacity(runs);
+        let end = start + runs;
+        let mut at = start;
+        while at < end {
+            let next = next_chunk_boundary(at, chunk_runs, end);
+            let slice = {
+                // Spans the chunk's simulation; `batch_width` is the
+                // realized layouts-per-pass after clamping to the chunk.
+                let _span = mbcr_obs::span(mbcr_obs::SpanKind::CampaignChunk, "simulate-chunk")
+                    .field("start", at.to_string())
+                    .field("runs", (next - at).to_string())
+                    .field(
+                        "batch_width",
+                        self.par.batch_width.min(next - at).to_string(),
+                    );
+                self.slice(at, next - at)
+            };
+            let keep_going = sink(at, &slice);
+            out.extend_from_slice(&slice);
+            at = next;
+            if !keep_going {
+                break;
+            }
+        }
         out
     }
 
@@ -503,17 +508,6 @@ pub struct Parallelism {
 pub const DEFAULT_BATCH_WIDTH: usize = 16;
 
 impl Parallelism {
-    /// One campaign per core (the one-shot CLI default).
-    #[must_use]
-    pub fn per_core() -> Self {
-        let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        Self {
-            threads,
-            min_parallel_runs: 256,
-            batch_width: DEFAULT_BATCH_WIDTH,
-        }
-    }
-
     /// Single-threaded campaigns — what a batch engine wants when it
     /// already runs one job per core. Layout batching stays on (it needs no
     /// extra threads and changes no output).
@@ -526,7 +520,7 @@ impl Parallelism {
         }
     }
 
-    /// A fixed thread count with the default serial cut-off.
+    /// A fixed thread count with the default serial cut-off (256 runs).
     #[must_use]
     pub fn with_threads(threads: usize) -> Self {
         Self {
@@ -544,50 +538,10 @@ impl Parallelism {
     }
 }
 
-impl Default for Parallelism {
-    fn default() -> Self {
-        Self::per_core()
-    }
-}
-
-/// Parallel version of [`campaign`]: same per-run seeds, so the output is
-/// bit-identical to the serial version, in run-index order.
-///
-/// `threads` is clamped to at least 1; each worker simulates a contiguous
-/// chunk of run indices on its own [`Platform`] clone.
-#[must_use]
-pub fn campaign_parallel(
-    cfg: &PlatformConfig,
-    trace: &Trace,
-    runs: usize,
-    master_seed: u64,
-    threads: usize,
-) -> Vec<u64> {
-    campaign_with(
-        cfg,
-        trace,
-        runs,
-        master_seed,
-        &Parallelism::with_threads(threads),
-    )
-}
-
-/// [`campaign`] under explicit [`Parallelism`] knobs. Output is
-/// bit-identical for every knob setting.
-#[must_use]
-pub fn campaign_with(
-    cfg: &PlatformConfig,
-    trace: &Trace,
-    runs: usize,
-    master_seed: u64,
-    par: &Parallelism,
-) -> Vec<u64> {
-    campaign_slice_with(cfg, trace, 0, runs, master_seed, par)
-}
-
-/// [`campaign_slice`] under explicit [`Parallelism`] knobs: runs
-/// `start .. start + runs` of the seed stream, in run-index order,
-/// bit-identical to the serial slice at any knob setting.
+/// The one-shot campaign: runs `start .. start + runs` of the seed stream
+/// defined by `master_seed`, in run-index order, under `par` — one
+/// [`CompiledCampaign`] sliced once. The sample is bit-identical at every
+/// knob setting.
 ///
 /// Because every run is seeded from its absolute index, a campaign can be
 /// restarted from any boundary: a prefix collected by one process (e.g. a
@@ -605,70 +559,12 @@ pub fn campaign_slice_with(
     CompiledCampaign::new(cfg, trace, master_seed, par).slice(start, runs)
 }
 
-/// [`campaign_slice_with`] driven in chunks, for drivers that persist
-/// partial campaigns: simulates runs `start .. start + runs`, invoking
-/// `sink` after each completed chunk with the chunk's absolute start index
-/// and its execution times, and returns the whole slice. `sink` returns
-/// whether to keep going — returning `false` (say, the checkpoint medium
-/// failed) stops the simulation immediately instead of burning through
-/// the rest of a possibly enormous campaign, and the truncated slice is
-/// returned as-is for the caller to discard or salvage.
-///
-/// Chunk boundaries land on multiples of `chunk_runs` in *absolute*
-/// run-index space (the final chunk is whatever remains), so a checkpoint
-/// log fed by `sink` has the same chunk layout no matter where the slice
-/// starts — an interrupted-then-resumed campaign replays the grid, not an
-/// offset of it. `chunk_runs == 0` simulates the slice as one chunk. Each
-/// chunk is simulated independently (layout batches never straddle a chunk
-/// boundary, so [`Parallelism::batch_width`] clamps to the checkpoint grid
-/// for free), and the slice is compiled once ([`CompiledCampaign`]). The
-/// returned sample is bit-identical to [`campaign_slice_with`] for every
-/// chunking and parallelism setting (when the sink never aborts).
-#[allow(clippy::too_many_arguments)]
-pub fn campaign_slice_chunked(
-    cfg: &PlatformConfig,
-    trace: &Trace,
-    start: usize,
-    runs: usize,
-    master_seed: u64,
-    par: &Parallelism,
-    chunk_runs: usize,
-    mut sink: impl FnMut(usize, &[u64]) -> bool,
-) -> Vec<u64> {
-    let mut compiled = CompiledCampaign::new(cfg, trace, master_seed, par);
-    let mut out = Vec::with_capacity(runs);
-    let end = start + runs;
-    let mut at = start;
-    while at < end {
-        let next = next_chunk_boundary(at, chunk_runs, end);
-        let slice = {
-            // Spans the chunk's simulation; `batch_width` is the realized
-            // layouts-per-pass after clamping to the chunk.
-            let _span = mbcr_obs::span(mbcr_obs::SpanKind::CampaignChunk, "simulate-chunk")
-                .field("start", at.to_string())
-                .field("runs", (next - at).to_string())
-                .field(
-                    "batch_width",
-                    par.batch_width.max(1).min(next - at).to_string(),
-                );
-            compiled.slice(at, next - at)
-        };
-        let keep_going = sink(at, &slice);
-        out.extend_from_slice(&slice);
-        at = next;
-        if !keep_going {
-            break;
-        }
-    }
-    out
-}
-
 /// The absolute index ending the chunk that contains run `at`: the next
 /// multiple of `chunk_runs`, capped at `end`; `chunk_runs == 0` means one
 /// single chunk (`end`). This is the one definition of the checkpoint
-/// grid — [`campaign_slice_chunked`] simulates on it and checkpoint
-/// writers frame on it, which is what makes interrupted-then-resumed logs
-/// byte-identical to uninterrupted ones.
+/// grid — [`CompiledCampaign::slice_chunked`] simulates on it and
+/// checkpoint writers frame on it, which is what makes
+/// interrupted-then-resumed logs byte-identical to uninterrupted ones.
 #[must_use]
 pub fn next_chunk_boundary(at: usize, chunk_runs: usize, end: usize) -> usize {
     match at.checked_div(chunk_runs) {
@@ -686,11 +582,27 @@ mod tests {
         s.parse::<SymSeq>().unwrap().repeat(reps).to_trace(32)
     }
 
+    /// The reference stream every campaign driver must reproduce: runs
+    /// `start .. start + runs`, one [`Platform`] run per seed
+    /// `derive_seed(master_seed, i)`.
+    fn oracle(
+        cfg: &PlatformConfig,
+        trace: &Trace,
+        start: usize,
+        runs: usize,
+        master_seed: u64,
+    ) -> Vec<u64> {
+        let mut platform = Platform::for_run(cfg, 0);
+        (start..start + runs)
+            .map(|i| platform.run_randomized(trace, derive_seed(master_seed, i as u64)))
+            .collect()
+    }
+
     #[test]
     fn deterministic_platform_has_zero_variability() {
         let cfg = PlatformConfig::deterministic();
         let trace = sym_trace("ABCDEFGH", 50);
-        let times = campaign(&cfg, &trace, 20, 7);
+        let times = oracle(&cfg, &trace, 0, 20, 7);
         assert!(times.windows(2).all(|w| w[0] == w[1]), "{times:?}");
     }
 
@@ -705,7 +617,7 @@ mod tests {
             .parse()
             .unwrap();
         let trace = s.repeat(30).to_trace(32);
-        let times = campaign(&cfg, &trace, 50, 9);
+        let times = oracle(&cfg, &trace, 0, 50, 9);
         let distinct: std::collections::HashSet<u64> = times.iter().copied().collect();
         assert!(distinct.len() > 1, "expected layout-induced variability");
     }
@@ -713,109 +625,106 @@ mod tests {
     #[test]
     fn campaign_is_reproducible() {
         let cfg = PlatformConfig::paper_default();
+        let par = Parallelism::serial();
         let trace = sym_trace("ABCAD", 40);
-        assert_eq!(campaign(&cfg, &trace, 25, 3), campaign(&cfg, &trace, 25, 3));
+        assert_eq!(
+            campaign_slice_with(&cfg, &trace, 0, 25, 3, &par),
+            campaign_slice_with(&cfg, &trace, 0, 25, 3, &par)
+        );
         // A footprint large enough that layouts (and thus times) must differ
         // between master seeds.
         let wide: SymSeq = ('A'..='Z').collect::<String>().parse().unwrap();
         let wide_trace = wide.repeat(10).to_trace(32);
         assert_ne!(
-            campaign(&cfg, &wide_trace, 25, 3),
-            campaign(&cfg, &wide_trace, 25, 4)
+            campaign_slice_with(&cfg, &wide_trace, 0, 25, 3, &par),
+            campaign_slice_with(&cfg, &wide_trace, 0, 25, 4, &par)
         );
     }
 
     #[test]
-    fn slices_concatenate_to_full_campaign() {
-        let cfg = PlatformConfig::paper_default();
-        let trace = sym_trace("ABCDEFGH", 10);
-        let full = campaign(&cfg, &trace, 120, 13);
-        let mut pieced = campaign_slice(&cfg, &trace, 0, 50, 13);
-        pieced.extend(campaign_slice(&cfg, &trace, 50, 70, 13));
-        assert_eq!(full, pieced);
-    }
-
-    #[test]
-    fn parallel_matches_serial() {
+    fn thread_splits_match_the_oracle() {
         let cfg = PlatformConfig::paper_default();
         let trace = sym_trace("ABCDEFGHIJ", 20);
-        let serial = campaign(&cfg, &trace, 500, 11);
-        for threads in [2, 3, 8] {
-            assert_eq!(campaign_parallel(&cfg, &trace, 500, 11, threads), serial);
+        // From run 0 and from mid-stream, with parts the width need not
+        // divide.
+        for (start, runs) in [(0, 500), (170, 330)] {
+            let want = oracle(&cfg, &trace, start, runs, 11);
+            for threads in [2, 3, 8] {
+                for par in [
+                    Parallelism::with_threads(threads),
+                    Parallelism {
+                        threads,
+                        min_parallel_runs: 100,
+                        batch_width: threads * 3,
+                    },
+                ] {
+                    assert_eq!(
+                        campaign_slice_with(&cfg, &trace, start, runs, 11, &par),
+                        want,
+                        "start={start} {par:?}"
+                    );
+                }
+            }
         }
     }
 
     #[test]
-    fn campaign_with_knobs_matches_serial() {
+    fn min_parallel_runs_cut_offs_match_the_oracle() {
+        // Slices on both sides of the cut-off: below it the slice runs
+        // serially, at or above it the threads split it.
         let cfg = PlatformConfig::paper_default();
         let trace = sym_trace("ABCDEFGHIJ", 20);
-        let serial = campaign(&cfg, &trace, 400, 5);
-        assert_eq!(
-            campaign_with(&cfg, &trace, 400, 5, &Parallelism::serial()),
-            serial
-        );
-        assert_eq!(
-            campaign_with(
-                &cfg,
-                &trace,
-                400,
-                5,
-                &Parallelism {
-                    threads: 4,
-                    min_parallel_runs: 100,
-                    batch_width: 5,
-                }
-            ),
-            serial
-        );
-    }
-
-    #[test]
-    fn parallel_slice_matches_serial_slice() {
-        let cfg = PlatformConfig::paper_default();
-        let trace = sym_trace("ABCDEFGHIJ", 20);
-        let serial = campaign_slice(&cfg, &trace, 170, 330, 11);
-        for threads in [2, 3, 8] {
+        let want = oracle(&cfg, &trace, 0, 400, 5);
+        for min_parallel_runs in [0, 2, 100, 399, 400, 401, usize::MAX] {
             let par = Parallelism {
-                threads,
-                min_parallel_runs: 100,
-                batch_width: threads * 3,
+                threads: 4,
+                min_parallel_runs,
+                batch_width: 5,
             };
             assert_eq!(
-                campaign_slice_with(&cfg, &trace, 170, 330, 11, &par),
-                serial
+                campaign_slice_with(&cfg, &trace, 0, 400, 5, &par),
+                want,
+                "min_parallel_runs={min_parallel_runs}"
             );
         }
     }
 
     #[test]
-    fn prefix_plus_parallel_slice_equals_full_campaign() {
+    fn prefix_plus_parallel_tail_equals_the_full_stream() {
         // The stage-boundary restart contract: a converge-phase prefix plus
         // a parallel tail slice must reproduce the one-shot campaign.
         let cfg = PlatformConfig::paper_default();
         let trace = sym_trace("ABCDEFGH", 15);
-        let full = campaign(&cfg, &trace, 500, 23);
-        let mut pieced = campaign_slice(&cfg, &trace, 0, 140, 23);
-        pieced.extend(campaign_slice_with(
-            &cfg,
-            &trace,
-            140,
-            360,
-            23,
-            &Parallelism {
-                threads: 4,
-                min_parallel_runs: 2,
-                batch_width: 7,
-            },
-        ));
-        assert_eq!(full, pieced);
+        let par = Parallelism {
+            threads: 4,
+            min_parallel_runs: 2,
+            batch_width: 7,
+        };
+        let mut pieced = oracle(&cfg, &trace, 0, 140, 23);
+        pieced.extend(campaign_slice_with(&cfg, &trace, 140, 360, 23, &par));
+        assert_eq!(pieced, oracle(&cfg, &trace, 0, 500, 23));
     }
 
     #[test]
-    fn chunked_slice_matches_serial_and_aligns_chunks_to_the_grid() {
+    fn every_width_matches_the_oracle() {
+        let cfg = PlatformConfig::paper_default();
+        let trace = sym_trace("ABCDEFGHIJKLMNOPQRST", 15);
+        let want = oracle(&cfg, &trace, 40, 100, 77);
+        for width in [1, 2, 3, 7, 16, 64, 1000] {
+            let par = Parallelism::serial().batch_width(width);
+            assert_eq!(
+                campaign_slice_with(&cfg, &trace, 40, 100, 77, &par),
+                want,
+                "width={width}"
+            );
+        }
+    }
+
+    #[test]
+    fn chunked_slice_matches_the_oracle_and_aligns_chunks_to_the_grid() {
         let cfg = PlatformConfig::paper_default();
         let trace = sym_trace("ABCDEFGH", 10);
-        let serial = campaign_slice(&cfg, &trace, 130, 470, 17);
+        let want = oracle(&cfg, &trace, 130, 470, 17);
         for (chunk_runs, threads, batch_width) in [
             (0, 1, 1),
             (100, 1, 16),
@@ -829,15 +738,17 @@ mod tests {
                 batch_width,
             };
             let mut seen: Vec<(usize, usize)> = Vec::new();
-            let out = campaign_slice_chunked(&cfg, &trace, 130, 470, 17, &par, chunk_runs, {
-                let seen = &mut seen;
-                move |at, chunk| {
+            let out = CompiledCampaign::new(&cfg, &trace, 17, &par).slice_chunked(
+                130,
+                470,
+                chunk_runs,
+                |at, chunk| {
                     seen.push((at, chunk.len()));
                     true
-                }
-            });
+                },
+            );
             assert_eq!(
-                out, serial,
+                out, want,
                 "chunk={chunk_runs} threads={threads} width={batch_width}"
             );
             // The sink covers the slice contiguously and, beyond the first
@@ -859,13 +770,9 @@ mod tests {
         let cfg = PlatformConfig::paper_default();
         let trace = sym_trace("ABCDEFGH", 10);
         let mut calls = 0;
-        let out = campaign_slice_chunked(
-            &cfg,
-            &trace,
+        let out = CompiledCampaign::new(&cfg, &trace, 17, &Parallelism::serial()).slice_chunked(
             0,
             500,
-            17,
-            &Parallelism::serial(),
             100,
             |_, _| {
                 calls += 1;
@@ -874,21 +781,18 @@ mod tests {
         );
         assert_eq!(calls, 2, "the sink is not called after it aborts");
         assert_eq!(out.len(), 200, "simulation stops at the aborting chunk");
-        assert_eq!(out, campaign_slice(&cfg, &trace, 0, 200, 17));
+        assert_eq!(out, oracle(&cfg, &trace, 0, 200, 17));
     }
 
     #[test]
-    fn for_run_matches_new_plus_reseed() {
-        // The satellite fix: building from the run seed directly must be
-        // state-identical to the old `Platform::new(master)` + reseed path.
+    fn for_run_then_reseed_equals_for_run_of_the_new_seed() {
         let cfg = PlatformConfig::paper_default();
         let trace = sym_trace("ABCDEFGHIJKLMNOP", 25);
-        let master = 99u64;
-        let run_seed = derive_seed(master, 0);
-        let mut old_style = Platform::new(&cfg, master);
-        let old = old_style.run_randomized(&trace, run_seed);
-        let mut new_style = Platform::for_run(&cfg, run_seed);
-        assert_eq!(new_style.run(&trace), old);
+        let (a, b) = (derive_seed(99, 0), derive_seed(99, 1));
+        let mut reseeded = Platform::for_run(&cfg, a);
+        reseeded.reseed(b);
+        let mut direct = Platform::for_run(&cfg, b);
+        assert_eq!(reseeded.run(&trace), direct.run(&trace));
     }
 
     #[test]
@@ -897,8 +801,8 @@ mod tests {
         let trace = sym_trace("ABCADEFBGH", 40);
         let rt = ResolvedTrace::resolve(&cfg, &trace);
         assert_eq!(rt.len(), trace.as_slice().len());
-        let mut a = Platform::new(&cfg, 4);
-        let mut b = Platform::new(&cfg, 4);
+        let mut a = Platform::for_run(&cfg, 4);
+        let mut b = Platform::for_run(&cfg, 4);
         for seed in [0u64, 7, u64::MAX] {
             assert_eq!(
                 a.run_randomized(&trace, seed),
@@ -915,7 +819,7 @@ mod tests {
         let rt = ResolvedTrace::resolve(&cfg, &trace);
         let mut other = cfg;
         other.dl1 = CacheGeometry::new(4096, 2, 64).unwrap();
-        Platform::new(&other, 0).run_resolved(&rt);
+        Platform::for_run(&other, 0).run_resolved(&rt);
     }
 
     #[test]
@@ -926,41 +830,17 @@ mod tests {
         let seeds: Vec<u64> = (0..9).map(|i| derive_seed(31, i)).collect();
         let mut batch = BatchPlatform::new(&cfg, &seeds);
         let batched = batch.run_resolved(&rt).to_vec();
-        let mut platform = Platform::new(&cfg, 0);
-        let serial: Vec<u64> = seeds
-            .iter()
-            .map(|&s| platform.run_randomized(&trace, s))
-            .collect();
-        assert_eq!(batched, serial);
+        assert_eq!(batched, oracle(&cfg, &trace, 0, 9, 31));
         // Reseeding the same batch for the next pass stays equivalent.
         let seeds2: Vec<u64> = (9..12).map(|i| derive_seed(31, i)).collect();
         batch.reseed(&seeds2);
         assert_eq!(batch.width(), 3);
         let batched2 = batch.run_resolved(&rt).to_vec();
-        let serial2: Vec<u64> = seeds2
-            .iter()
-            .map(|&s| platform.run_randomized(&trace, s))
-            .collect();
-        assert_eq!(batched2, serial2);
+        assert_eq!(batched2, oracle(&cfg, &trace, 9, 3, 31));
     }
 
     #[test]
-    fn batched_campaign_matches_serial_at_every_width() {
-        let cfg = PlatformConfig::paper_default();
-        let trace = sym_trace("ABCDEFGHIJKLMNOPQRST", 15);
-        let serial = campaign_slice(&cfg, &trace, 40, 100, 77);
-        for width in [1, 2, 3, 7, 16, 64, 1000] {
-            let par = Parallelism::serial().batch_width(width);
-            assert_eq!(
-                campaign_slice_with(&cfg, &trace, 40, 100, 77, &par),
-                serial,
-                "width={width}"
-            );
-        }
-    }
-
-    #[test]
-    fn compiled_campaign_steps_match_the_serial_stream() {
+    fn compiled_campaign_steps_match_the_oracle() {
         // Convergence-shaped draws (an initial block, then short
         // extensions) on every kernel: fastpath (2-way random), the
         // general batch engine (4-way, LRU) and the serial loop (width 1).
@@ -975,18 +855,18 @@ mod tests {
             four_way,
             PlatformConfig::deterministic(),
         ] {
-            let serial = campaign_slice(&cfg, &trace, 0, 733, 61);
+            let want = oracle(&cfg, &trace, 0, 733, 61);
             for width in [1, 2, 7, 16, 64] {
                 let par = Parallelism::serial().batch_width(width);
                 let mut compiled = CompiledCampaign::new(&cfg, &trace, 61, &par);
                 let mut stepped = compiled.slice(0, 300);
-                while stepped.len() < serial.len() {
-                    let step = 100.min(serial.len() - stepped.len());
+                while stepped.len() < want.len() {
+                    let step = 100.min(want.len() - stepped.len());
                     stepped.extend(compiled.slice(stepped.len(), step));
                 }
-                assert_eq!(stepped, serial, "{cfg:?} width={width}");
+                assert_eq!(stepped, want, "{cfg:?} width={width}");
                 // Slices need not be contiguous: every pass reseeds.
-                assert_eq!(compiled.slice(17, 5), serial[17..22], "width={width}");
+                assert_eq!(compiled.slice(17, 5), want[17..22], "width={width}");
             }
         }
     }
@@ -994,7 +874,7 @@ mod tests {
     #[test]
     fn batch_width_builder_clamps_to_one() {
         assert_eq!(Parallelism::serial().batch_width(0).batch_width, 1);
-        assert_eq!(Parallelism::default().batch_width, DEFAULT_BATCH_WIDTH);
+        assert_eq!(Parallelism::serial().batch_width, DEFAULT_BATCH_WIDTH);
     }
 
     #[test]
@@ -1002,7 +882,7 @@ mod tests {
         // One instruction fetch and one read to the same line id: they go to
         // different caches, so both miss.
         let cfg = PlatformConfig::paper_default();
-        let mut p = Platform::new(&cfg, 1);
+        let mut p = Platform::for_run(&cfg, 1);
         let t: Trace = [Access::fetch(0x100), Access::read(0x100)]
             .into_iter()
             .collect();
@@ -1015,7 +895,7 @@ mod tests {
     #[test]
     fn hits_cost_hit_latency() {
         let cfg = PlatformConfig::paper_default();
-        let mut p = Platform::new(&cfg, 1);
+        let mut p = Platform::for_run(&cfg, 1);
         let t: Trace = [Access::read(0x40), Access::read(0x40), Access::read(0x40)]
             .into_iter()
             .collect();
@@ -1027,7 +907,7 @@ mod tests {
     fn issue_cycles_add_per_instruction() {
         let mut cfg = PlatformConfig::paper_default();
         cfg.latency.issue_cycles = 3;
-        let mut p = Platform::new(&cfg, 1);
+        let mut p = Platform::for_run(&cfg, 1);
         let t: Trace = [Access::fetch(0x0), Access::fetch(0x4)]
             .into_iter()
             .collect();
@@ -1038,7 +918,7 @@ mod tests {
     #[test]
     fn warm_run_is_faster_than_cold() {
         let cfg = PlatformConfig::paper_default();
-        let mut p = Platform::new(&cfg, 1);
+        let mut p = Platform::for_run(&cfg, 1);
         let trace = sym_trace("ABCD", 10);
         let cold = p.run_randomized(&trace, 77);
         let warm = p.run(&trace); // no flush

@@ -1,6 +1,6 @@
 //! Property test for the campaign batching invariant: the batched
 //! multi-layout simulation must be bit-identical to the serial reference
-//! stream across random geometries × placement/replacement policies ×
+//! stream (one `Platform` run per seed) across random geometries × placement/replacement policies ×
 //! batch widths × chunk cut points — including widths that do not divide
 //! the chunk, chunks that do not divide the campaign, unaligned slice
 //! starts, and one compiled campaign sliced step by step.
@@ -10,11 +10,8 @@
 //! reproduces from the reported seed alone.
 
 use mbcr_cache::{CacheGeometry, PlacementPolicy, ReplacementPolicy};
-use mbcr_cpu::{
-    campaign_slice, campaign_slice_chunked, campaign_slice_with, CompiledCampaign, Parallelism,
-    PlatformConfig,
-};
-use mbcr_rng::{Rng64, SplitMix64};
+use mbcr_cpu::{campaign_slice_with, CompiledCampaign, Parallelism, Platform, PlatformConfig};
+use mbcr_rng::{derive_seed, Rng64, SplitMix64};
 use mbcr_trace::{Access, Trace};
 use proptest::prelude::*;
 
@@ -62,6 +59,21 @@ fn gen_trace(g: &mut SplitMix64, cfg: &PlatformConfig) -> Trace {
         .collect()
 }
 
+/// The serial reference stream: runs `start .. start + runs`, one
+/// `Platform` run per seed `derive_seed(master_seed, i)`.
+fn oracle(
+    cfg: &PlatformConfig,
+    trace: &Trace,
+    start: usize,
+    runs: usize,
+    master_seed: u64,
+) -> Vec<u64> {
+    let mut platform = Platform::for_run(cfg, 0);
+    (start..start + runs)
+        .map(|i| platform.run_randomized(trace, derive_seed(master_seed, i as u64)))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -74,7 +86,7 @@ proptest! {
         let start = (g.next_u64() % 300) as usize;
         let runs = 20 + (g.next_u64() % 120) as usize;
 
-        let serial = campaign_slice(&cfg, &trace, start, runs, master_seed);
+        let serial = oracle(&cfg, &trace, start, runs, master_seed);
 
         for width in [1usize, 3, 7, 64] {
             // Plain batched slice (threads = 1 isolates the width knob).
@@ -103,13 +115,9 @@ proptest! {
             let mut sunk: Vec<u64> = Vec::new();
             let mut next_at = start;
             let mut grid_ok = true;
-            let chunked = campaign_slice_chunked(
-                &cfg,
-                &trace,
+            let chunked = CompiledCampaign::new(&cfg, &trace, master_seed, &par).slice_chunked(
                 start,
                 runs,
-                master_seed,
-                &par,
                 chunk_runs,
                 |at, chunk| {
                     grid_ok &= at == next_at;

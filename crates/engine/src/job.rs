@@ -15,7 +15,7 @@ use crate::{AnalysisKind, GeometrySpec};
 
 /// Schema tag baked into job keys and artifacts; bump on layout changes to
 /// invalidate old artifact stores wholesale.
-pub const SCHEMA: &str = "mbcr-engine/3";
+pub const SCHEMA: &str = "mbcr-engine/4";
 
 /// What one job computes. Since the stage-graph redesign the engine
 /// schedules at *stage* granularity: one node per pipeline stage, plus the

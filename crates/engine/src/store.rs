@@ -6,18 +6,23 @@
 //! <run-dir>/
 //!   manifest.json                  # spec + per-job status and summaries
 //!   table2.csv                     # the paper's Table 2 layout, one row per cell
-//!   jobs/<key>.json                # full analysis result, keyed by content hash
-//!   jobs/<key>.samples.slog        # chunk log of the final campaign sample
+//!   jobs/<key>.json                # analysis result, keyed by content hash
+//!   jobs/<key>.samples.slog        # chunk log of a pub_tac fit's campaign sample
 //!   stages/<digest>.json           # per-stage intermediate artifacts
 //!   stages/<digest>.samples.slog   # streamed campaign chunk logs (checkpoints)
 //! ```
 //!
+//! A job artifact carries the summary and the analysis result without its
+//! bulk: no raw sample and no ECCDF values. The sample is read back from
+//! the job's chunk log ([`ArtifactStore::load_job_sample`]), and any
+//! curve is rebuilt from it.
+//!
 //! Job keys hash everything result-affecting ([`crate::JobSpec::key`]), so
-//! `has_artifact` is the whole cache policy: a present artifact is, by
-//! construction, the artifact a re-run would produce. Stage artifacts are
-//! keyed by stage digest ([`mbcr::stage::StageDigests`]) and shared across
-//! sweeps in the same store — a warm re-run after a knob change resumes
-//! from the last stage the change did not invalidate.
+//! a job artifact of the current schema is, by construction, the artifact
+//! a re-run would produce ([`ArtifactStore::has_job_result`]). Stage
+//! artifacts are keyed by stage digest ([`mbcr::stage::StageDigests`])
+//! and shared across sweeps in the same store — a warm re-run after a
+//! knob change resumes from the last stage the change did not invalidate.
 //!
 //! JSON artifacts are streamed into a unique temp file and renamed into
 //! place, so an interrupted sweep never leaves torn documents behind; readers
@@ -156,10 +161,18 @@ impl ArtifactStore {
     /// Runs per frame of a job-level sample log.
     pub const JOB_SAMPLE_CHUNK: usize = 65_536;
 
-    /// Whether a completed artifact exists for `key`.
+    /// Whether `jobs/` holds a complete result for `key`: a job artifact
+    /// of this schema whose summary parses ([`Self::load_summary`]) and,
+    /// when `sample_runs` is given, a sample log covering that many runs
+    /// (a CRC-checked header scan; nothing is decoded).
     #[must_use]
-    pub fn has_artifact(&self, key: &str) -> bool {
-        self.job_path(key).is_file()
+    pub fn has_job_result(&self, key: &str, sample_runs: Option<u64>) -> bool {
+        self.load_summary(key).is_some()
+            && sample_runs.is_none_or(|runs| {
+                SampleLog::at(self.sample_path(key))
+                    .meta()
+                    .is_some_and(|(logged, _)| logged >= runs)
+            })
     }
 
     /// Loads a job's sample from its chunk log (the valid prefix; a torn
@@ -987,12 +1000,13 @@ mod tests {
     fn artifact_roundtrip_and_cache_check() {
         let store = tmp_store("roundtrip");
         let key = "00112233445566778899aabbccddeeff";
-        assert!(!store.has_artifact(key));
+        assert!(!store.has_job_result(key, None));
         let summary = demo_summary(key);
         store
             .write_job(key, &summary, Json::Obj(vec![]), Some(&[10, 20, 30]))
             .expect("write");
-        assert!(store.has_artifact(key));
+        assert!(store.has_job_result(key, Some(3)));
+        assert!(!store.has_job_result(key, Some(4)), "the log covers 3 runs");
         assert_eq!(store.load_summary(key).expect("summary"), summary);
         assert_eq!(store.load_job_sample(key), Some(vec![10, 20, 30]));
         // Re-writing appends nothing: the log bytes are already complete.
@@ -1044,10 +1058,11 @@ mod tests {
         let key = "deadbeef";
         fs::write(store.job_path(key), "{\"schema\": \"mbcr-eng").expect("write");
         assert!(
-            store.has_artifact(key),
+            store.job_path(key).is_file(),
             "the torn file exists on disk (atomic writes make this state \
              unreachable in practice, but readers still validate)"
         );
+        assert!(!store.has_job_result(key, None));
         assert!(
             store.load_summary(key).is_none(),
             "a torn job artifact must not parse into a summary"
@@ -1297,7 +1312,7 @@ mod tests {
         }
         assert_eq!(StageStore::load_samples(&a, 0xAB), Some(runs.clone()));
         assert_eq!(a.load_job_sample("deadbeef01"), Some(vec![5, 6]));
-        assert!(a.has_artifact("deadbeef01"));
+        assert!(a.has_job_result("deadbeef01", Some(2)));
 
         // Idempotent: a second merge changes nothing.
         let again = a.merge(&b).expect("re-merge");

@@ -472,14 +472,16 @@ impl SweepPlan {
     /// executor.
     ///
     /// Stage jobs are cached by their content-addressed stage artifact;
-    /// combine jobs by their legacy job artifact. A fit node must
-    /// additionally have its full-result job artifact (`jobs/<key>.json`
-    /// plus samples) — a store shipped with only the `stages/` dir
-    /// regenerates them instead of reporting cached. A campaign
-    /// completion marker without a chunk log that covers it and matches
-    /// its checksum (torn, truncated, pruned, or divergent) is not cached
-    /// — the node re-executes and resumes from whatever valid log prefix
-    /// exists. The validation is the session's own
+    /// combine jobs by their job artifact. A fit node must additionally
+    /// have its full result under `jobs/` — a job artifact of this schema
+    /// whose summary parses and, for a pub_tac fit, a job sample log
+    /// covering the campaign ([`ArtifactStore::has_job_result`]); a store
+    /// shipped with only the `stages/` dir, or with a stale, foreign or
+    /// pruned job artifact, regenerates them instead of reporting cached.
+    /// A campaign completion marker without a chunk log that covers it
+    /// and matches its checksum (torn, truncated, pruned, or divergent)
+    /// is not cached — the node re-executes and resumes from whatever
+    /// valid log prefix exists. The validation is the session's own
     /// ([`mbcr::stage::campaign_marker_sample`]), so the scheduler and
     /// the session can never disagree on what a campaign cache hit is.
     #[must_use]
@@ -488,16 +490,15 @@ impl SweepPlan {
         let key = &self.keys[i];
         match (&job.kind, self.graph.digests[i]) {
             (JobKind::Stage { stage, .. }, Some(digest)) => load_valid_stage(store, *stage, digest)
-                .filter(|_| *stage != StageKind::Fit || store.has_artifact(key))
                 .filter(|data| {
                     *stage != StageKind::Campaign
                         || mbcr::stage::campaign_marker_sample(data, store, digest).is_some()
                 })
-                .map(|data| summary_from_stage_artifact(job, key, *stage, &data)),
-            _ => store
-                .has_artifact(key)
-                .then(|| store.load_summary(key))
-                .flatten(),
+                .map(|data| summary_from_stage_artifact(job, key, *stage, &data))
+                .filter(|summary| {
+                    *stage != StageKind::Fit || store.has_job_result(key, summary.campaign_runs)
+                }),
+            _ => store.load_summary(key),
         }
     }
 }
@@ -673,7 +674,7 @@ fn coverage_block(
 /// Computes the manifest's static cache-classification block: one entry per
 /// swept benchmark × geometry with the abstract-interpretation hit/miss
 /// rollup ([`mbcr::stage::cache_class`]). Digest-keyed in the store like
-/// the coverage artifacts, so warm re-runs and metrics scrapes reuse them.
+/// the coverage artifacts, so warm re-runs reuse them.
 fn cache_class_block(
     spec: &SweepSpec,
     registry: &Registry,

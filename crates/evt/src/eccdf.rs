@@ -160,15 +160,6 @@ impl Eccdf {
     }
 }
 
-impl mbcr_json::Serialize for Eccdf {
-    fn to_json(&self) -> mbcr_json::Json {
-        mbcr_json::Json::Obj(vec![(
-            "values".to_string(),
-            mbcr_json::Serialize::to_json(&self.sorted),
-        )])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -313,7 +313,7 @@ mod tests {
     }
 }
 
-mbcr_json::impl_serialize_struct!(Pwcet { eccdf, tail });
+mbcr_json::impl_serialize_struct!(Pwcet { tail } skip { eccdf });
 
 impl mbcr_json::Serialize for TailModel {
     fn to_json(&self) -> mbcr_json::Json {

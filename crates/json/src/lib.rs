@@ -456,15 +456,24 @@ impl From<String> for Json {
 }
 
 /// Generates a field-exhaustive [`Serialize`] impl for a struct with named
-/// fields. The destructuring pattern is exhaustive: adding or removing a
-/// field without updating the call site is a compile error, giving the same
-/// drift protection as a derive.
+/// fields, in the listed order. Fields named in an optional trailing
+/// `skip { .. }` list are left out of the JSON. The destructuring pattern
+/// names every field either way (skipped ones as `field: _`), so adding or
+/// removing a field without updating the call site is a compile error,
+/// giving the same drift protection as a derive.
+///
+/// ```
+/// struct Fit { runs: usize, sample: Vec<u64> }
+/// mbcr_json::impl_serialize_struct!(Fit { runs } skip { sample });
+/// let json = mbcr_json::Serialize::to_json(&Fit { runs: 2, sample: vec![7, 9] });
+/// assert_eq!(json.to_compact(), r#"{"runs":2}"#);
+/// ```
 #[macro_export]
 macro_rules! impl_serialize_struct {
-    ($ty:ty { $($field:ident),+ $(,)? }) => {
+    ($ty:ty { $($field:ident),+ $(,)? } $(skip { $($skip:ident),+ $(,)? })?) => {
         impl $crate::Serialize for $ty {
             fn to_json(&self) -> $crate::Json {
-                let Self { $($field),+ } = self;
+                let Self { $($field,)+ $($($skip: _,)+)? } = self;
                 $crate::Json::Obj(vec![
                     $((stringify!($field).to_string(), $crate::Serialize::to_json($field)),)+
                 ])

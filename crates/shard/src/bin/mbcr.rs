@@ -108,7 +108,8 @@ ANALYZE OPTIONS:
     --seed N            Master seed (default: 42)
     --exceedance P      Reporting exceedance probability (default: 1e-12)
     --full              Paper-scale campaigns instead of the quick preset
-    --json PATH         Also write the full analysis as JSON
+    --json PATH         Also write the analysis as JSON: every reported
+                        figure, without the raw sample or ECCDF values
 
 SWEEP OPTIONS:
     --spec FILE         Load the campaign from a JSON spec file ('-' reads
@@ -399,7 +400,7 @@ fn analyze(args: &[String]) -> Result<ExitCode, EngineError> {
     print!("{}", render_report(benchmark.name, &analysis));
     if let Some(path) = json_path {
         std::fs::write(&path, analysis.to_json().to_pretty())?;
-        println!("\nfull analysis written to {path}");
+        println!("\nanalysis written to {path}");
     }
     Ok(ExitCode::SUCCESS)
 }

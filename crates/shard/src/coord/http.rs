@@ -29,7 +29,7 @@ use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use mbcr::prelude::{CacheGeometry, Inputs};
-use mbcr::stage::{cache_class, path_coverage, rollup_to_json, StageStore};
+use mbcr::stage::{cache_class, path_coverage, rollup_to_json};
 use mbcr_engine::{EngineError, SubmitOptions, SweepMetrics};
 use mbcr_gateway::{
     read_request, respond_error, respond_json, respond_text, sse_event, sse_headers, Request,
@@ -361,19 +361,18 @@ fn metrics_doc(service: &Service<'_>) -> Json {
 /// The static-path-coverage section of `/v1/metrics`: one row per
 /// registered benchmark relating its Ball–Larus static path count to the
 /// paths its shipped input vectors exercise. Computed outside the state
-/// lock; the digest-keyed stage artifacts make repeat scrapes a store
-/// load, not a re-analysis.
+/// lock and without the store, so a scrape never writes: a `GET` stays
+/// read-only.
 fn coverage_section(service: &Service<'_>) -> Json {
     let rows = service
         .registry
         .iter()
         .map(|b| {
             let inputs: Vec<Inputs> = b.input_vectors.iter().map(|v| v.inputs.clone()).collect();
-            let value =
-                match path_coverage(&b.program, &inputs, Some(service.store as &dyn StageStore)) {
-                    Ok(coverage) => coverage.to_json(),
-                    Err(e) => Json::Obj(vec![("error".to_string(), e.to_string().into())]),
-                };
+            let value = match path_coverage(&b.program, &inputs, None) {
+                Ok(coverage) => coverage.to_json(),
+                Err(e) => Json::Obj(vec![("error".to_string(), e.to_string().into())]),
+            };
             (b.name.to_string(), value)
         })
         .collect();
@@ -383,16 +382,14 @@ fn coverage_section(service: &Service<'_>) -> Json {
 /// The static cache-classification section of `/v1/metrics`: one row per
 /// registered benchmark with the abstract-interpretation hit/miss rollup
 /// against the paper's L1 geometry (both caches). Like the coverage
-/// section, digest-keyed stage artifacts make repeat scrapes a store
-/// load.
+/// section, it is computed without the store on every scrape.
 fn cache_class_section(service: &Service<'_>) -> Json {
     let g = CacheGeometry::paper_l1();
     let rows = service
         .registry
         .iter()
         .map(|b| {
-            let value = match cache_class(&b.program, g, g, Some(service.store as &dyn StageStore))
-            {
+            let value = match cache_class(&b.program, g, g, None) {
                 Ok(rollup) => rollup_to_json(&rollup),
                 Err(e) => Json::Obj(vec![("error".to_string(), e.to_string().into())]),
             };

@@ -16,6 +16,8 @@
 //!   canceled, and `submit --spec -` reads the spec from stdin;
 //! * `DELETE` answers `404` for an unknown sweep and `500` when the
 //!   cancel could not be persisted;
+//! * a `GET /v1/metrics` scrape reports every benchmark's static
+//!   sections and writes nothing into the store;
 //! * every client verb takes the gateway URL: a bare `host:port` is a
 //!   usage error naming the `http://` form, and `mbcr coord` is gone.
 
@@ -30,7 +32,7 @@ use std::time::{Duration, Instant};
 use common::{
     assert_sweep_matches, run_ok, spawn_worker, tmp_dir, wait_for_slog_bytes, Daemon, MBCR,
 };
-use mbcr_engine::{AnalysisKind, SweepSpec};
+use mbcr_engine::{AnalysisKind, Registry, SweepSpec};
 use mbcr_json::Json;
 
 /// The overlapping storm specs, as a [`SweepSpec`] (for HTTP submission)
@@ -442,6 +444,33 @@ fn cancel_the_store_cannot_persist_is_a_server_error() {
         "a failed store write is the server's fault, not a conflict: {}",
         response.error_text()
     );
+    drop(daemon);
+    let _ = fs::remove_dir_all(&out);
+}
+
+#[test]
+fn metrics_scrape_reports_every_benchmark_and_writes_nothing() {
+    let out = tmp_dir("metrics-read-only");
+    let daemon = Daemon::spawn(&out);
+    let response =
+        mbcr_gateway::request(&daemon.http, "GET", "/v1/metrics", None).expect("GET metrics");
+    assert_eq!(response.status, 200, "{}", response.error_text());
+    let doc = response.json().expect("metrics JSON");
+    let registry = Registry::malardalen();
+    assert_eq!(registry.iter().count(), 11);
+    for section in ["path_coverage", "cache_class"] {
+        let rows = doc.get(section).expect(section);
+        for b in registry.iter() {
+            let row = rows
+                .get(b.name)
+                .unwrap_or_else(|| panic!("{section}: no {}", b.name));
+            assert!(row.get("error").is_none(), "{section}/{}: {row}", b.name);
+        }
+    }
+    let stages: Vec<_> = fs::read_dir(out.join("stages"))
+        .map(|dir| dir.flatten().map(|e| e.file_name()).collect())
+        .unwrap_or_default();
+    assert!(stages.is_empty(), "a scrape wrote into stages/: {stages:?}");
     drop(daemon);
     let _ = fs::remove_dir_all(&out);
 }

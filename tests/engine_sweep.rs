@@ -4,7 +4,7 @@
 //! invocations.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use mbcr_engine::{
     expand, run_sweep, AnalysisKind, ArtifactStore, GeometrySpec, InputSelection, JobStatus,
@@ -89,7 +89,7 @@ fn cold_sweep_writes_artifacts_and_warm_rerun_skips() {
         let stage = record.label.rsplit('/').next().unwrap_or("");
         let terminal = record.label.starts_with("multipath/") || record.label.contains(":fit/");
         assert_eq!(
-            store.has_artifact(&record.key),
+            store.has_job_result(&record.key, None),
             terminal,
             "full-result JSON exactly for terminal nodes: {} (stage {stage})",
             record.label
@@ -365,7 +365,7 @@ fn pruned_jobs_dir_regenerates_full_results() {
         assert_eq!(record.status, expected, "{}", record.label);
         if terminal {
             assert!(
-                store.has_artifact(&record.key),
+                store.has_job_result(&record.key, None),
                 "full-result JSON must be regenerated: {}",
                 record.label
             );
@@ -374,6 +374,75 @@ fn pruned_jobs_dir_regenerates_full_results() {
     assert_eq!(rerun.rows, cold.rows, "regeneration reproduces the results");
 
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// Damages the full result of a sweep's pub_tac fit node with `damage`
+/// (given its job file and job sample log), re-runs the sweep, and checks
+/// that exactly that node re-executes and rewrites both files byte for
+/// byte.
+fn damaged_fit_result_regenerates(tag: &str, damage: impl Fn(&Path, &Path)) {
+    let registry = Registry::malardalen();
+    let spec = SweepSpec::new(tag)
+        .benchmarks(["insertsort"])
+        .seeds([13])
+        .analyses([AnalysisKind::PubTac]);
+    let dir = tmp_dir(tag);
+    let store = ArtifactStore::open(&dir).expect("open store");
+    let opts = RunOptions {
+        threads: 2,
+        force: false,
+        checkpoint_interval: None,
+        ..RunOptions::default()
+    };
+
+    let cold = run_sweep(&spec, &registry, &store, &opts).expect("cold");
+    assert_eq!(cold.failed, 0);
+    let fit = cold
+        .records
+        .iter()
+        .find(|r| r.label.starts_with("pub_tac:fit/"))
+        .expect("a pub_tac fit node");
+    let (job, log) = (store.job_path(&fit.key), store.sample_path(&fit.key));
+    let clean = (
+        fs::read(&job).expect("job file"),
+        fs::read(&log).expect("log"),
+    );
+    damage(&job, &log);
+
+    let rerun = run_sweep(&spec, &registry, &store, &opts).expect("rerun");
+    assert_eq!(rerun.failed, 0);
+    for record in &rerun.records {
+        let expected = if record.key == fit.key {
+            JobStatus::Executed
+        } else {
+            JobStatus::Skipped
+        };
+        assert_eq!(record.status, expected, "{}", record.label);
+    }
+    assert_eq!(fs::read(&job).expect("job file"), clean.0, "job file bytes");
+    assert_eq!(fs::read(&log).expect("log"), clean.1, "sample log bytes");
+    assert_eq!(rerun.rows, cold.rows);
+
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A job file of another schema (or one whose summary does not parse) is
+/// not a fit node's full result.
+#[test]
+fn foreign_job_artifact_regenerates_the_fit_result() {
+    damaged_fit_result_regenerates("foreign-job", |job, _| {
+        fs::write(job, r#"{"schema": "other/9", "summary": {}}"#).expect("stub job file");
+    });
+}
+
+/// A pub_tac fit's job sample log must cover its whole campaign: a log cut
+/// short is not a full result, although the job file is intact.
+#[test]
+fn short_job_sample_log_regenerates_the_fit_result() {
+    damaged_fit_result_regenerates("short-log", |_, log| {
+        let bytes = fs::read(log).expect("log");
+        fs::write(log, &bytes[..bytes.len() / 2]).expect("truncate log");
+    });
 }
 
 /// A torn stage artifact (interrupted writer) must be re-executed, never

@@ -3,7 +3,6 @@
 //! observe, without being absurdly pessimistic?
 
 use mbcr::prelude::*;
-use mbcr_cpu::campaign_parallel;
 use mbcr_ir::execute;
 use mbcr_pub::pub_transform;
 
@@ -29,7 +28,14 @@ fn fitted_pwcet_covers_long_run_quantiles() {
         .expect("run")
         .trace;
 
-    let long = campaign_parallel(&platform, &trace, 120_000, 0xCAFE, 4);
+    let long = campaign_slice_with(
+        &platform,
+        &trace,
+        0,
+        120_000,
+        0xCAFE,
+        &Parallelism::with_threads(4),
+    );
     let pwcet = fit(&long[..20_000]);
     let reference = Eccdf::from_u64(&long);
 
@@ -59,7 +65,14 @@ fn observed_extremes_are_not_ruled_out() {
         .expect("run")
         .trace;
 
-    let sample = campaign_parallel(&platform, &trace, 50_000, 0xBEEF, 4);
+    let sample = campaign_slice_with(
+        &platform,
+        &trace,
+        0,
+        50_000,
+        0xBEEF,
+        &Parallelism::with_threads(4),
+    );
     let pwcet = fit(&sample[..10_000]);
     let max = *sample.iter().max().expect("non-empty") as f64;
     // The max of 50k draws sits around the 1/50k quantile; a sound model
@@ -78,7 +91,14 @@ fn platform_campaigns_are_iid() {
     for name in ["bs", "cnt", "matmult"] {
         let b = mbcr_malardalen::by_name(name).expect("bench");
         let trace = execute(&b.program, &b.default_input).expect("run").trace;
-        let sample = campaign_parallel(&platform, &trace, 3_000, 0xD0, 4);
+        let sample = campaign_slice_with(
+            &platform,
+            &trace,
+            0,
+            3_000,
+            0xD0,
+            &Parallelism::with_threads(4),
+        );
         let float: Vec<f64> = sample.iter().map(|&v| v as f64).collect();
         let report = mbcr_evt::IidReport::evaluate(&float);
         assert!(
@@ -112,7 +132,14 @@ fn tac_sized_campaigns_stabilize_the_estimate() {
         .clamp(2_000, 40_000);
 
     let estimate = |seed: u64, runs: usize| {
-        let sample = campaign_parallel(&platform, &trace, runs, seed, 4);
+        let sample = campaign_slice_with(
+            &platform,
+            &trace,
+            0,
+            runs,
+            seed,
+            &Parallelism::with_threads(4),
+        );
         fit(&sample).quantile(1e-6)
     };
 

@@ -3,14 +3,14 @@
 //! path of the original program on the time-randomized platform.
 
 use mbcr::prelude::*;
-use mbcr_cpu::campaign_parallel;
 use mbcr_ir::execute;
 use mbcr_pub::shape::{data_shape, shape_summary};
 
 const PROBES: [f64; 4] = [0.5, 0.1, 0.01, 0.001];
 
 fn eccdf_of(cfg: &PlatformConfig, trace: &mbcr_trace::Trace, runs: usize, seed: u64) -> Eccdf {
-    Eccdf::from_u64(&campaign_parallel(cfg, trace, runs, seed, 4))
+    let par = Parallelism::with_threads(4);
+    Eccdf::from_u64(&campaign_slice_with(cfg, trace, 0, runs, seed, &par))
 }
 
 /// Figure 2 in miniature: every pubbed bs path dominates every original bs

@@ -10,7 +10,7 @@
 
 use mbcr::stage::{AnalysisSession, MemoryStageStore, StageKind, StageStatus};
 use mbcr::{analyze_original, analyze_pub_tac, AnalysisConfig};
-use mbcr_cpu::{campaign_parallel, campaign_slice};
+use mbcr_cpu::{campaign_slice_with, Parallelism};
 use mbcr_evt::{converge, IidReport, Pwcet};
 use mbcr_ir::{execute, Inputs, Program};
 use mbcr_pub::pub_transform;
@@ -42,10 +42,18 @@ fn reference_pub_tac(
     );
     let r_tac = tac_il1.runs_required.max(tac_dl1.runs_required);
 
+    let serial = Parallelism::serial().batch_width(1);
     let mut next = 0usize;
     let outcome = converge(
         |count| {
-            let out = campaign_slice(&cfg.platform, &run.trace, next, count, campaign_seed);
+            let out = campaign_slice_with(
+                &cfg.platform,
+                &run.trace,
+                next,
+                count,
+                campaign_seed,
+                &serial,
+            );
             next += count;
             out
         },
@@ -61,12 +69,13 @@ fn reference_pub_tac(
         .min(cfg.max_campaign_runs)
         .max(r_pub.min(cfg.max_campaign_runs));
 
-    let sample = campaign_parallel(
+    let sample = campaign_slice_with(
         &cfg.platform,
         &run.trace,
+        0,
         campaign_runs,
         campaign_seed,
-        cfg.threads,
+        &Parallelism::with_threads(cfg.threads),
     );
     let pwcet = Pwcet::fit(
         &sample,
@@ -99,10 +108,18 @@ fn reference_original(
 ) -> (usize, bool, f64, usize) {
     let campaign_seed = derive_seed(cfg.seed, 0xCA);
     let run = execute(program, input).expect("execute");
+    let serial = Parallelism::serial().batch_width(1);
     let mut next = 0usize;
     let outcome = converge(
         |count| {
-            let out = campaign_slice(&cfg.platform, &run.trace, next, count, campaign_seed);
+            let out = campaign_slice_with(
+                &cfg.platform,
+                &run.trace,
+                next,
+                count,
+                campaign_seed,
+                &serial,
+            );
             next += count;
             out
         },

@@ -3,7 +3,6 @@
 //! actually observe the conflictive layouts.
 
 use mbcr::prelude::*;
-use mbcr_cpu::campaign_parallel;
 use mbcr_tac::{analyze_symbolic, comapping_probability, runs_for_probability};
 use mbcr_trace::SymSeq;
 
@@ -68,8 +67,15 @@ fn tac_sized_campaign_sees_the_knee() {
     // paper L1 (2-way, 64 sets), 3 round-robin lines suffice.
     let trace = seq("ABC").repeat(400).to_trace(32);
 
-    let small = campaign_parallel(&platform, &trace, 300, 99, 2);
-    let large = campaign_parallel(&platform, &trace, 90_000, 99, 4);
+    let small = campaign_slice_with(&platform, &trace, 0, 300, 99, &Parallelism::with_threads(2));
+    let large = campaign_slice_with(
+        &platform,
+        &trace,
+        0,
+        90_000,
+        99,
+        &Parallelism::with_threads(4),
+    );
 
     let max_small = *small.iter().max().expect("non-empty");
     let max_large = *large.iter().max().expect("non-empty");
