@@ -185,6 +185,45 @@ mod tests {
     }
 
     #[test]
+    fn collapsing_consecutive_repeats_keeps_the_miss_count() {
+        // TAC replays deduplicated substreams: a repeat of the line just
+        // accessed hits without moving the next victim, so the miss count
+        // and the replacement stream must not change under any policy.
+        let mut g = mbcr_rng::SplitMix64::new(0x5E7);
+        for case in 0..60 {
+            let lines = 3 + g.next_u64() % 5;
+            let mut s = Vec::new();
+            while s.len() < 300 {
+                let line = LineId(g.next_u64() % lines);
+                for _ in 0..1 + g.next_u64() % 4 {
+                    s.push(line);
+                }
+            }
+            let mut deduped = s.clone();
+            deduped.dedup();
+            assert!(deduped.len() < s.len(), "case {case} has repeats");
+            let g_lines: Vec<u64> = (0..lines).collect();
+            let all = group(&g_lines);
+            let ways = 2 + (case % 3) as u32;
+            for policy in [
+                ReplacementPolicy::Random,
+                ReplacementPolicy::Lru,
+                ReplacementPolicy::Fifo,
+            ] {
+                assert_eq!(
+                    single_run_misses(&s, &all, ways, policy, case),
+                    single_run_misses(&deduped, &all, ways, policy, case),
+                    "case {case} {policy:?} ways={ways}"
+                );
+            }
+            assert_eq!(
+                expected_misses(&s, &all, ways, 8, case).to_bits(),
+                expected_misses(&deduped, &all, ways, 8, case).to_bits()
+            );
+        }
+    }
+
+    #[test]
     fn expected_misses_is_deterministic_in_seed() {
         let s = stream("ABCDEA", 50);
         let g = group(&[0, 1, 2, 3, 4]);

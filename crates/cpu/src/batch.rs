@@ -82,7 +82,9 @@ impl BatchPlatform {
     /// Executes the resolved trace once, advancing every layout, and
     /// returns the per-layout execution times in seed order. Call after
     /// [`new`](Self::new) or [`reseed`](Self::reseed): entry `l` then equals
-    /// `Platform::run_randomized(trace, run_seeds[l])` bit for bit.
+    /// `Platform::run_randomized(trace, run_seeds[l])` bit for bit. The
+    /// same-line repeats the resolution dropped are charged their hit cost
+    /// up front, not simulated.
     ///
     /// # Panics
     ///
@@ -95,8 +97,8 @@ impl BatchPlatform {
             ),
             "trace resolved for a different geometry"
         );
-        self.cycles.fill(0);
         let lat = self.latency;
+        self.cycles.fill(rt.repeat_cycles(&lat));
         for op in rt.ops() {
             if op.instr {
                 self.il1.access_line_accum(

@@ -18,7 +18,10 @@
 //! * **Cycles reduce to miss counts.** A run's execution time is an affine
 //!   function of its per-cache miss counts (`base + Σ misses × (miss_cost −
 //!   hit_cost)`), so the loop only increments one counter per layout and
-//!   the times materialize at the end of the pass.
+//!   the times materialize at the end of the pass. `base` charges every
+//!   access its hit cost (plus issue cycles for fetches), including the
+//!   same-line repeats [`ResolvedTrace`] dropped, which the loop never
+//!   sees.
 //!
 //! On x86-64 hosts with AVX-512 (F+DQ+VL+BMI2) the inner loop additionally
 //! processes 8 layouts per instruction batch: one gather fetches 8 packed
@@ -254,7 +257,8 @@ pub(crate) struct FastCampaign {
     /// Packed trace: [`INSTR_BIT`] selects the cache, low bits are the
     /// dense line id within it.
     ops: Vec<u32>,
-    /// Cycles every run pays regardless of layout (issue + hit costs).
+    /// Cycles every run pays regardless of layout (issue + hit costs of
+    /// the simulated ops and of the dropped same-line repeats).
     base_cycles: u64,
     /// Extra cycles per IL1 / DL1 miss.
     il1_miss_weight: u64,
@@ -327,7 +331,9 @@ impl FastCampaign {
                 misses: Vec::new(),
             },
             ops,
-            base_cycles: instr_ops * (lat.issue_cycles + lat.il1_hit) + data_ops * lat.dl1_hit,
+            base_cycles: instr_ops * (lat.issue_cycles + lat.il1_hit)
+                + data_ops * lat.dl1_hit
+                + rt.repeat_cycles(&lat),
             il1_miss_weight: lat.il1_miss - lat.il1_hit,
             dl1_miss_weight: lat.dl1_miss - lat.dl1_hit,
             kernel: detect_kernel(),

@@ -19,7 +19,8 @@
 //!   `derive_seed(master_seed, i)`, so any slice of the seed stream can be
 //!   simulated on its own and slices concatenate to the full campaign;
 //! * every campaign compiles its seed stream once ([`CompiledCampaign`]):
-//!   the trace resolves to line ids ([`ResolvedTrace`]) and one kernel
+//!   the trace resolves to line ids ([`ResolvedTrace`]), minus the
+//!   same-line repeats that hit in every layout, and one kernel
 //!   sweeps up to [`Parallelism::batch_width`] layouts per trace pass
 //!   ([`BatchPlatform`]), optionally split across
 //!   [`Parallelism::threads`] — pure throughput knobs: the sample is
@@ -223,7 +224,10 @@ impl Platform {
     /// Executes a pre-resolved trace with the *current* cache state (no
     /// flush) — the hot-loop form of [`run`](Platform::run), with every
     /// `Address → LineId` division already paid by
-    /// [`ResolvedTrace::resolve`].
+    /// [`ResolvedTrace::resolve`]. It returns the same cycles as `run`; the
+    /// same-line repeats the resolution dropped are charged their hit cost
+    /// without touching the caches, so the caches' hit counters
+    /// ([`Cache::stats`]) exclude them.
     ///
     /// # Panics
     ///
@@ -236,7 +240,7 @@ impl Platform {
             ),
             "trace resolved for a different geometry"
         );
-        let mut cycles = 0u64;
+        let mut cycles = rt.repeat_cycles(&self.latency);
         for op in rt.ops() {
             if op.instr {
                 cycles += self.latency.issue_cycles;
@@ -273,7 +277,7 @@ impl Platform {
     }
 
     /// [`run_randomized`](Platform::run_randomized) over a pre-resolved
-    /// trace.
+    /// trace (see [`run_resolved`](Platform::run_resolved)).
     pub fn run_randomized_resolved(&mut self, rt: &ResolvedTrace, run_seed: u64) -> u64 {
         self.reseed(run_seed);
         self.run_resolved(rt)
@@ -795,12 +799,58 @@ mod tests {
         assert_eq!(reseeded.run(&trace), direct.run(&trace));
     }
 
+    /// Fetch runs and data runs interleaved across the two caches: eight
+    /// 4-byte fetches per 32-byte line with loads and stores between them,
+    /// data runs split by fetches, and some lines revisited later, so the
+    /// resolution drops repeats of both caches that are not adjacent in the
+    /// trace.
+    fn interleaved_repeats(blocks: u64) -> Trace {
+        let mut t = Trace::new();
+        for b in 0..blocks {
+            let code = (b * 7 % 23) * 32;
+            let data = 0x8000 + (b * 5 % 37) * 32;
+            for k in 0..8 {
+                t.push(Access::fetch(code + 4 * k));
+                match k % 3 {
+                    0 => t.push(Access::read(data + k)),
+                    1 => t.push(Access::write(data + 8)),
+                    _ => {}
+                }
+            }
+            t.push(Access::read(data + 16));
+            t.push(Access::read(data + 0x40));
+        }
+        t
+    }
+
+    /// Latencies under which a wrongly charged repeat shows: issue cycles on
+    /// every fetch and different hit costs in the two caches.
+    fn uneven_latency(cfg: PlatformConfig) -> PlatformConfig {
+        PlatformConfig {
+            latency: LatencyConfig {
+                issue_cycles: 3,
+                il1_hit: 2,
+                il1_miss: 90,
+                dl1_hit: 5,
+                dl1_miss: 70,
+            },
+            ..cfg
+        }
+    }
+
     #[test]
     fn resolved_run_matches_unresolved() {
         let cfg = PlatformConfig::paper_default();
-        let trace = sym_trace("ABCADEFBGH", 40);
+        let trace = interleaved_repeats(40);
         let rt = ResolvedTrace::resolve(&cfg, &trace);
-        assert_eq!(rt.len(), trace.as_slice().len());
+        // Every access is either simulated or counted as a dropped repeat:
+        // per block, 7 of 8 fetches and 6 of 8 data accesses repeat.
+        assert_eq!(rt.il1_repeats(), 40 * 7);
+        assert_eq!(rt.dl1_repeats(), 40 * 6);
+        assert_eq!(
+            rt.len() as u64 + rt.il1_repeats() + rt.dl1_repeats(),
+            trace.len() as u64
+        );
         let mut a = Platform::for_run(&cfg, 4);
         let mut b = Platform::for_run(&cfg, 4);
         for seed in [0u64, 7, u64::MAX] {
@@ -808,6 +858,124 @@ mod tests {
                 a.run_randomized(&trace, seed),
                 b.run_randomized_resolved(&rt, seed)
             );
+        }
+    }
+
+    #[test]
+    fn dropped_repeats_cost_their_hits_in_every_kernel() {
+        // Width 1 is the serial loop; on the 2-way random configs wider
+        // passes run fastpath, on the 4-way ones the general batch engine
+        // (random and LRU replacement). The small caches make conflict
+        // misses, and so RNG draws and LRU victims, common.
+        let two_way = CacheGeometry::new(512, 2, 32).unwrap();
+        let four_way = CacheGeometry::new(1024, 4, 32).unwrap();
+        let configs = [
+            PlatformConfig::paper_default(),
+            PlatformConfig {
+                il1: two_way,
+                dl1: two_way,
+                ..PlatformConfig::paper_default()
+            },
+            PlatformConfig {
+                il1: four_way,
+                dl1: four_way,
+                ..PlatformConfig::paper_default()
+            },
+            PlatformConfig {
+                il1: four_way,
+                dl1: four_way,
+                ..PlatformConfig::deterministic()
+            },
+        ];
+        let trace = interleaved_repeats(150);
+        for cfg in configs.map(uneven_latency) {
+            let want = oracle(&cfg, &trace, 0, 90, 13);
+            for width in [1, 7, 16] {
+                let par = Parallelism::serial().batch_width(width);
+                let mut compiled = CompiledCampaign::new(&cfg, &trace, 13, &par);
+                let mut stepped = compiled.slice(0, 40);
+                stepped.extend(compiled.slice(40, 50));
+                assert_eq!(stepped, want, "{cfg:?} width={width}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_trace_of_repeats_simulates_one_access_per_cache() {
+        let cfg = uneven_latency(PlatformConfig::paper_default());
+        let mut trace = Trace::new();
+        for k in 0..8 {
+            trace.push(Access::fetch(0x200 + 4 * k));
+            trace.push(Access::write(0x9000 + k));
+            trace.push(Access::read(0x9010));
+        }
+        let rt = ResolvedTrace::resolve(&cfg, &trace);
+        assert_eq!(rt.len(), 2);
+        assert_eq!((rt.il1_repeats(), rt.dl1_repeats()), (7, 15));
+        let lat = cfg.latency;
+        let cold = lat.issue_cycles + lat.il1_miss + lat.dl1_miss;
+        let repeats = 7 * (lat.issue_cycles + lat.il1_hit) + 15 * lat.dl1_hit;
+        let want = oracle(&cfg, &trace, 0, 20, 3);
+        assert!(want.iter().all(|&t| t == cold + repeats), "{want:?}");
+        for width in [1, 7, 16] {
+            let par = Parallelism::serial().batch_width(width);
+            assert_eq!(
+                campaign_slice_with(&cfg, &trace, 0, 20, 3, &par),
+                want,
+                "width={width}"
+            );
+        }
+    }
+
+    #[test]
+    fn warm_resolved_run_matches_warm_run() {
+        // No flush between runs: the second and third runs start from the
+        // state the previous one left, so the first access of each cache
+        // may hit, and LRU stamps carry over.
+        let trace = interleaved_repeats(60);
+        let (two_way, four_way) = (
+            CacheGeometry::new(512, 2, 32).unwrap(),
+            CacheGeometry::new(1024, 4, 32).unwrap(),
+        );
+        for (geometry, placement, replacement) in [
+            (
+                two_way,
+                PlacementPolicy::RandomHash,
+                ReplacementPolicy::Random,
+            ),
+            (two_way, PlacementPolicy::Modulo, ReplacementPolicy::Lru),
+            (
+                four_way,
+                PlacementPolicy::RandomHash,
+                ReplacementPolicy::Lru,
+            ),
+            (
+                four_way,
+                PlacementPolicy::RandomHash,
+                ReplacementPolicy::Fifo,
+            ),
+        ] {
+            let cfg = uneven_latency(PlatformConfig {
+                il1: geometry,
+                dl1: geometry,
+                placement,
+                replacement,
+                ..PlatformConfig::paper_default()
+            });
+            let rt = ResolvedTrace::resolve(&cfg, &trace);
+            let mut plain = Platform::for_run(&cfg, 8);
+            let mut resolved = Platform::for_run(&cfg, 8);
+            for _ in 0..3 {
+                assert_eq!(plain.run(&trace), resolved.run_resolved(&rt), "{cfg:?}");
+            }
+            // Same misses; the hit counters skip the dropped repeats.
+            for (p, r, dropped) in [
+                (plain.il1(), resolved.il1(), rt.il1_repeats()),
+                (plain.dl1(), resolved.dl1(), rt.dl1_repeats()),
+            ] {
+                assert_eq!(p.stats().misses, r.stats().misses);
+                assert_eq!(p.stats().hits, r.stats().hits + 3 * dropped);
+            }
         }
     }
 

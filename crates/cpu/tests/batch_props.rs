@@ -1,9 +1,11 @@
 //! Property test for the campaign batching invariant: the batched
 //! multi-layout simulation must be bit-identical to the serial reference
 //! stream (one `Platform` run per seed) across random geometries × placement/replacement policies ×
-//! batch widths × chunk cut points — including widths that do not divide
-//! the chunk, chunks that do not divide the campaign, unaligned slice
-//! starts, and one compiled campaign sliced step by step.
+//! latencies × batch widths × chunk cut points — including widths that do
+//! not divide the chunk, chunks that do not divide the campaign, unaligned
+//! slice starts, and one compiled campaign sliced step by step. Traces mix
+//! in runs of same-line accesses, which the resolved kernels drop and
+//! charge as hits, so the reference replays the unresolved trace.
 //!
 //! Each case derives everything (geometries, policies, trace, campaign
 //! shape) from one generated seed via SplitMix64, so a failing case
@@ -12,7 +14,7 @@
 use mbcr_cache::{CacheGeometry, PlacementPolicy, ReplacementPolicy};
 use mbcr_cpu::{campaign_slice_with, CompiledCampaign, Parallelism, Platform, PlatformConfig};
 use mbcr_rng::{derive_seed, Rng64, SplitMix64};
-use mbcr_trace::{Access, Trace};
+use mbcr_trace::{Access, AccessKind, Trace};
 use proptest::prelude::*;
 
 fn gen_geometry(g: &mut SplitMix64) -> CacheGeometry {
@@ -38,6 +40,14 @@ fn gen_config(g: &mut SplitMix64) -> PlatformConfig {
     cfg.dl1 = gen_geometry(g);
     cfg.placement = placement;
     cfg.replacement = replacement;
+    // Issue cycles and unequal hit costs, so a dropped repeat charged the
+    // wrong cost shows in the cycle counts.
+    let lat = &mut cfg.latency;
+    lat.issue_cycles = g.next_u64() % 4;
+    lat.il1_hit = 1 + g.next_u64() % 4;
+    lat.dl1_hit = 1 + g.next_u64() % 4;
+    lat.il1_miss = lat.il1_hit + 20 + g.next_u64() % 80;
+    lat.dl1_miss = lat.dl1_hit + 20 + g.next_u64() % 80;
     cfg
 }
 
@@ -46,17 +56,40 @@ fn gen_trace(g: &mut SplitMix64, cfg: &PlatformConfig) -> Trace {
     // replacement RNG draws) actually happen.
     let foot = 3 * cfg.il1.lines().max(cfg.dl1.lines());
     let len = 100 + (g.next_u64() % 400) as usize;
-    (0..len)
-        .map(|_| {
-            // Sub-line offsets exercise the Address → LineId quantization.
-            let addr = (g.next_u64() % foot) * 32 + g.next_u64() % 32;
-            match g.next_u64() % 3 {
-                0 => Access::fetch(addr),
-                1 => Access::read(addr),
-                _ => Access::write(addr),
+    let mut trace = Trace::new();
+    while trace.len() < len {
+        // Sub-line offsets exercise the Address → LineId quantization.
+        let addr = (g.next_u64() % foot) * 32 + g.next_u64() % 32;
+        let access = match g.next_u64() % 3 {
+            0 => Access::fetch(addr),
+            1 => Access::read(addr),
+            _ => Access::write(addr),
+        };
+        trace.push(access);
+        if g.next_u64().is_multiple_of(3) {
+            // A run of same-line accesses of the same cache, at other
+            // offsets within the 32-byte line, sometimes with accesses of
+            // the other cache in between.
+            let line = addr & !31;
+            for _ in 0..1 + g.next_u64() % 8 {
+                if g.next_u64().is_multiple_of(4) {
+                    let other = (g.next_u64() % foot) * 32;
+                    trace.push(if access.kind == AccessKind::InstrFetch {
+                        Access::read(other)
+                    } else {
+                        Access::fetch(other)
+                    });
+                }
+                let addr = line + g.next_u64() % 32;
+                trace.push(match access.kind {
+                    AccessKind::InstrFetch => Access::fetch(addr),
+                    _ if g.next_u64().is_multiple_of(2) => Access::read(addr),
+                    _ => Access::write(addr),
+                });
             }
-        })
-        .collect()
+        }
+    }
+    trace
 }
 
 /// The serial reference stream: runs `start .. start + runs`, one

@@ -225,16 +225,19 @@ pub fn analyze_lines(stream: &[LineId], cfg: &TacConfig) -> TacAnalysis {
         };
     }
 
-    // Hot candidates: reused lines, most-accessed first.
-    let mut hot: Vec<LineId> = stats
+    // Hot candidates: reused lines, most-accessed first (a stable sort, so
+    // equal counts keep `line_stats` order).
+    let mut ranked: Vec<(LineId, usize)> = stats
         .iter()
         .filter(|s| s.count >= 2)
-        .map(|s| s.line)
+        .map(|s| (s.line, s.count))
         .collect();
-    hot.sort_by_key(|l| {
-        std::cmp::Reverse(stats.iter().find(|s| s.line == *l).map_or(0, |s| s.count))
-    });
-    hot.truncate(cfg.max_hot_lines);
+    ranked.sort_by_key(|&(_, count)| std::cmp::Reverse(count));
+    let hot: Vec<LineId> = ranked
+        .into_iter()
+        .take(cfg.max_hot_lines)
+        .map(|(line, _)| line)
+        .collect();
 
     if hot.len() < group_size as usize {
         return TacAnalysis {
@@ -402,7 +405,12 @@ fn combinations(n: usize, k: usize, buf: &mut [usize], f: &mut impl FnMut(&[usiz
 
 /// Extracts the subsequence of `stream` restricted to `lines` (sorted) by
 /// merging per-line position lists — O(total occurrences · log k) instead of
-/// a full stream scan per group.
+/// a full stream scan per group — with consecutive repeats of one line
+/// collapsed. A repeat hits in the group's set under every replacement
+/// policy without changing which way the next miss evicts (the rule
+/// `mbcr_cpu::ResolvedTrace` applies to whole traces), so the single-set
+/// simulation counts the same misses, and draws the same random numbers,
+/// on the shorter stream.
 fn merge_substream(
     lines: &[LineId],
     positions: &std::collections::HashMap<LineId, Vec<u32>>,
@@ -413,7 +421,9 @@ fn merge_substream(
         .flat_map(|l| positions.get(l).into_iter().flatten().copied())
         .collect();
     pos.sort_unstable();
-    pos.into_iter().map(|p| stream[p as usize]).collect()
+    let mut sub: Vec<LineId> = pos.into_iter().map(|p| stream[p as usize]).collect();
+    sub.dedup();
+    sub
 }
 
 #[cfg(test)]
@@ -544,6 +554,22 @@ mod tests {
         let mut buf2 = vec![0; 5];
         combinations(3, 5, &mut buf2, &mut |_| none += 1);
         assert_eq!(none, 0);
+    }
+
+    #[test]
+    fn merged_substreams_collapse_consecutive_repeats() {
+        // A A X B B A X A restricted to {A, B}: A A B B A A -> A B A.
+        let stream = seq("AAXBBAXA").to_lines();
+        let mut positions: std::collections::HashMap<LineId, Vec<u32>> =
+            std::collections::HashMap::new();
+        for (i, &l) in stream.iter().enumerate() {
+            positions.entry(l).or_default().push(i as u32);
+        }
+        let lines = seq("AB").to_lines();
+        assert_eq!(
+            merge_substream(&lines, &positions, &stream),
+            seq("ABA").to_lines()
+        );
     }
 
     #[test]
