@@ -48,6 +48,32 @@ impl Eccdf {
         Self { sorted }
     }
 
+    /// Wraps values already sorted ascending by [`f64::total_cmp`].
+    pub(crate) fn from_sorted(sorted: Vec<f64>) -> Self {
+        debug_assert!(sorted.is_sorted_by(|a, b| a.total_cmp(b).is_le()));
+        Self { sorted }
+    }
+
+    /// Merges `fresh`, sorted ascending by [`f64::total_cmp`], into the
+    /// sample: one binary search and one block move per fresh value, no
+    /// re-sort. Values that `total_cmp` calls equal have equal bits, so the
+    /// result is the sorted union bit for bit.
+    pub(crate) fn merge(&mut self, fresh: Vec<f64>) {
+        if self.sorted.is_empty() {
+            self.sorted = fresh;
+            return;
+        }
+        let mut end = self.sorted.len();
+        self.sorted.resize(end + fresh.len(), 0.0);
+        for (k, &x) in fresh.iter().enumerate().rev() {
+            // Old values above x move past it and the k fresh values below it.
+            let at = self.sorted[..end].partition_point(|v| v.total_cmp(&x).is_le());
+            self.sorted.copy_within(at..end, at + k + 1);
+            self.sorted[at + k] = x;
+            end = at;
+        }
+    }
+
     /// Sample size.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -276,6 +302,25 @@ mod tests {
                 assert_eq!(pts.last().unwrap().1, 0.0);
             }
         }
+    }
+
+    #[test]
+    fn merge_equals_a_full_sort() {
+        use mbcr_rng::{Rng64, Xoshiro256PlusPlus};
+        let mut rng = Xoshiro256PlusPlus::from_seed(3);
+        // Heavy ties, fresh values below, between and above the old ones.
+        let mut all: Vec<f64> = (0..40).map(|_| rng.below(9) as f64).collect();
+        let mut e = Eccdf::from_sorted(Vec::new());
+        for cut in [0, 1, 7, 7, 20, 40] {
+            let mut fresh = all[e.len()..cut].to_vec();
+            fresh.sort_by(f64::total_cmp);
+            e.merge(fresh);
+            let mut expected = all[..cut].to_vec();
+            expected.sort_by(f64::total_cmp);
+            assert_eq!(e.sorted_values(), &expected[..], "after {cut} values");
+        }
+        all.sort_by(f64::total_cmp);
+        assert_eq!(e.sorted_values(), &all[..]);
     }
 
     #[test]

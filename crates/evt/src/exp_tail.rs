@@ -131,13 +131,23 @@ impl ExpTailFit {
 /// * [`EvtError::DegenerateSample`] if the candidate tails have zero
 ///   variance (deterministic execution times).
 pub fn fit_exp_tail(sample: &[f64], cfg: &TailConfig) -> Result<ExpTailFit, EvtError> {
-    let n = sample.len();
+    let mut sorted = sample.to_vec();
+    sorted.sort_unstable_by(f64::total_cmp);
+    fit_sorted_exp_tail(&sorted, cfg)
+}
+
+/// [`fit_exp_tail`] over a sample already sorted ascending by
+/// [`f64::total_cmp`]: the core that [`crate::Pwcet::fit`] and
+/// [`crate::converge`] share with it.
+pub(crate) fn fit_sorted_exp_tail(
+    sorted: &[f64],
+    cfg: &TailConfig,
+) -> Result<ExpTailFit, EvtError> {
+    let n = sorted.len();
     let needed = cfg.min_tail * 4;
     if n < needed {
         return Err(EvtError::NotEnoughData { needed, got: n });
     }
-    let mut sorted = sample.to_vec();
-    sorted.sort_by(f64::total_cmp);
 
     let max_tail = ((n as f64 * cfg.max_tail_fraction) as usize).max(cfg.min_tail);
     // Geometric sweep of candidate tail sizes, largest first (more tail data
@@ -154,10 +164,15 @@ pub fn fit_exp_tail(sample: &[f64], cfg: &TailConfig) -> Result<ExpTailFit, EvtE
 
     let mut best: Option<ExpTailFit> = None;
     let mut all_degenerate = true;
+    let mut excesses = Vec::with_capacity(max_tail);
     for &nt in &candidates {
         // Threshold just below the tail (nt <= n/4, so the index is valid).
         let u = sorted[n - nt - 1];
-        let excesses: Vec<f64> = sorted[n - nt..].iter().map(|&x| x - u).collect();
+        // Each candidate sums its own excesses from the threshold up:
+        // prefix sums over the sorted sample would round differently and
+        // can flip a CV acceptance.
+        excesses.clear();
+        excesses.extend(sorted[n - nt..].iter().map(|&x| x - u));
         let m = mean(&excesses);
         if m <= 0.0 {
             continue; // all tail values tied with the threshold
@@ -264,6 +279,41 @@ mod tests {
         let fit = fit_exp_tail(&sample, &TailConfig::default()).unwrap();
         assert!(fit.forced, "CV = {} should fail the band", fit.cv);
         assert!(fit.cv > 1.0);
+    }
+
+    #[test]
+    fn matches_the_from_scratch_reference() {
+        let mut rng = Xoshiro256PlusPlus::from_seed(13);
+        let tied: Vec<f64> = exp_sample(3_000, 0.02, 5)
+            .iter()
+            .map(|x| (x / 30.0).floor() * 30.0)
+            .collect();
+        let heavy: Vec<f64> = (0..2_000)
+            .map(|_| 100.0 * (1.0 - rng.next_f64()).max(1e-12).powf(-2.0))
+            .collect();
+        let configs = [
+            TailConfig::default(),
+            TailConfig {
+                min_tail: 2,
+                ..TailConfig::default()
+            },
+        ];
+        for (label, sample) in [
+            ("exponential", exp_sample(5_001, 0.1, 17)),
+            ("tied", tied),
+            ("heavy", heavy),
+            ("constant", vec![500.0; 400]),
+            ("short", exp_sample(9, 0.1, 3)),
+        ] {
+            for cfg in &configs {
+                assert_eq!(
+                    format!("{:?}", fit_exp_tail(&sample, cfg)),
+                    format!("{:?}", crate::oracle::fit_exp_tail(&sample, cfg)),
+                    "{label}, min_tail {}",
+                    cfg.min_tail
+                );
+            }
+        }
     }
 
     #[test]

@@ -34,10 +34,12 @@ pub fn ks_two_sample(a: &[f64], b: &[f64]) -> TestResult {
         !a.is_empty() && !b.is_empty(),
         "KS test needs non-empty samples"
     );
+    // Values that `total_cmp` calls equal have equal bits, so an unstable
+    // sort orders them exactly as a stable one.
     let mut sa = a.to_vec();
     let mut sb = b.to_vec();
-    sa.sort_by(f64::total_cmp);
-    sb.sort_by(f64::total_cmp);
+    sa.sort_unstable_by(f64::total_cmp);
+    sb.sort_unstable_by(f64::total_cmp);
     let (na, nb) = (sa.len() as f64, sb.len() as f64);
     let (mut i, mut j) = (0usize, 0usize);
     let mut d: f64 = 0.0;
@@ -77,7 +79,9 @@ pub fn ljung_box(sample: &[f64], lags: usize) -> TestResult {
     );
     let n = sample.len() as f64;
     let m = mean(sample);
-    let denom: f64 = sample.iter().map(|x| (x - m) * (x - m)).sum();
+    // Centred once for every lag; each sum keeps its index order.
+    let centred: Vec<f64> = sample.iter().map(|x| x - m).collect();
+    let denom: f64 = centred.iter().map(|c| c * c).sum();
     if denom == 0.0 {
         // Constant series: no evidence of autocorrelation.
         return TestResult {
@@ -87,7 +91,7 @@ pub fn ljung_box(sample: &[f64], lags: usize) -> TestResult {
     }
     let mut q = 0.0;
     for k in 1..=lags {
-        let num: f64 = sample.windows(k + 1).map(|w| (w[0] - m) * (w[k] - m)).sum();
+        let num: f64 = centred.iter().zip(&centred[k..]).map(|(a, b)| a * b).sum();
         let rho = num / denom;
         q += rho * rho / (n - k as f64);
     }
@@ -111,9 +115,9 @@ pub fn ljung_box(sample: &[f64], lags: usize) -> TestResult {
 #[must_use]
 pub fn runs_test(sample: &[f64]) -> TestResult {
     assert!(!sample.is_empty(), "runs test needs a non-empty sample");
-    let mut sorted = sample.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let median = sorted[sorted.len() / 2];
+    // The upper median: the value a sort would put at index n / 2.
+    let mut scratch = sample.to_vec();
+    let (_, &mut median, _) = scratch.select_nth_unstable_by(sample.len() / 2, f64::total_cmp);
     let signs: Vec<bool> = sample
         .iter()
         .filter(|&&x| x != median)
@@ -152,6 +156,9 @@ pub fn runs_test(sample: &[f64]) -> TestResult {
     }
 }
 
+/// The smallest sample [`IidReport::evaluate`] accepts.
+pub(crate) const MIN_SAMPLES: usize = 12;
+
 /// Combined i.i.d. evidence for one measurement sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IidReport {
@@ -173,8 +180,8 @@ impl IidReport {
     #[must_use]
     pub fn evaluate(sample: &[f64]) -> Self {
         assert!(
-            sample.len() >= 12,
-            "IID evaluation needs at least 12 samples"
+            sample.len() >= MIN_SAMPLES,
+            "IID evaluation needs at least {MIN_SAMPLES} samples"
         );
         let half = sample.len() / 2;
         let lags = (sample.len() / 5).clamp(2, 20);
@@ -286,6 +293,37 @@ mod tests {
             .count();
         let rate = rejections as f64 / f64::from(trials as u32);
         assert!(rate < 0.30, "rejection rate = {rate}");
+    }
+
+    #[test]
+    fn kernels_match_the_reference_bodies() {
+        use crate::oracle;
+        let mut rng = Xoshiro256PlusPlus::from_seed(21);
+        for n in [12usize, 13, 400, 401] {
+            let random = iid_sample(n, n as u64);
+            let tied: Vec<f64> = (0..n).map(|_| (rng.below(4) * 30) as f64).collect();
+            let constant = vec![7.0; n];
+            for (label, s) in [("random", random), ("tied", tied), ("constant", constant)] {
+                let half = n / 2;
+                let lags = (n / 5).clamp(2, 20);
+                let pairs = [
+                    (
+                        ks_two_sample(&s[..half], &s[half..]),
+                        oracle::ks_two_sample(&s[..half], &s[half..]),
+                    ),
+                    (ljung_box(&s, lags), oracle::ljung_box(&s, lags)),
+                    (runs_test(&s), oracle::runs_test(&s)),
+                ];
+                for (new, old) in pairs {
+                    assert_eq!(format!("{new:?}"), format!("{old:?}"), "{label}, n = {n}");
+                }
+                assert_eq!(
+                    format!("{:?}", IidReport::evaluate(&s)),
+                    format!("{:?}", oracle::iid_evaluate(&s)),
+                    "{label}, n = {n}"
+                );
+            }
+        }
     }
 
     #[test]

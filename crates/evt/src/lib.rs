@@ -18,7 +18,12 @@
 //!   queried at any exceedance probability (the paper reports 10⁻¹²);
 //! * [`IidReport`] — Kolmogorov–Smirnov, Ljung–Box and runs tests;
 //! * [`converge`] — the iterative campaign-sizing procedure producing
-//!   `R_orig` / `R_pub`;
+//!   `R_orig` / `R_pub`. It refits after every step without starting
+//!   from scratch: it keeps one dithered sample, sorted, merges each
+//!   step's new runs into it, and runs the i.i.d. tests only where their
+//!   verdict is read. Each refit is bit for bit a fresh [`Pwcet::fit`]
+//!   of the sample so far, and each verdict a fresh
+//!   [`IidReport::evaluate`];
 //! * [`stats`] — the underlying special functions (own implementations —
 //!   no external statistics dependency, bit-stable results).
 //!
@@ -48,6 +53,8 @@ mod eccdf;
 mod exp_tail;
 mod gumbel;
 pub mod iid;
+#[cfg(test)]
+mod oracle;
 mod pwcet;
 pub mod stats;
 

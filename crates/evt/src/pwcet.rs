@@ -1,7 +1,7 @@
 //! pWCET curves: empirical body + fitted tail.
 
 use crate::eccdf::Eccdf;
-use crate::exp_tail::{fit_exp_tail, EvtError, ExpTailFit, TailConfig};
+use crate::exp_tail::{fit_sorted_exp_tail, EvtError, ExpTailFit, TailConfig};
 use crate::gumbel::{fit_gumbel, GumbelFit};
 use mbcr_rng::{Rng64, SplitMix64};
 
@@ -90,38 +90,10 @@ impl Pwcet {
         tail_cfg: &TailConfig,
         dither: Dither,
     ) -> Result<Pwcet, EvtError> {
-        if sample.is_empty() {
-            return Err(EvtError::NotEnoughData { needed: 1, got: 0 });
-        }
-        // Degeneracy is decided on the raw cycle counts: dithering a
-        // constant sample must not manufacture a synthetic tail.
-        if sample.windows(2).all(|w| w[0] == w[1]) {
-            return Ok(Pwcet {
-                eccdf: Eccdf::from_u64(sample),
-                tail: TailModel::Degenerate,
-            });
-        }
-        let values: Vec<f64> = match dither {
-            Dither::None => sample.iter().map(|&v| v as f64).collect(),
-            Dither::Uniform { seed } => {
-                let mut rng = SplitMix64::new(seed);
-                sample.iter().map(|&v| v as f64 + rng.next_f64()).collect()
-            }
-        };
-        let eccdf = Eccdf::new(&values);
-        let tail = match method {
-            FitMethod::ExpTailCv => match fit_exp_tail(&values, tail_cfg) {
-                Ok(f) => TailModel::ExpTail(f),
-                Err(EvtError::DegenerateSample) => TailModel::Degenerate,
-                Err(e) => return Err(e),
-            },
-            FitMethod::Gumbel { block_size } => match fit_gumbel(&values, block_size) {
-                Ok(f) => TailModel::Gumbel(f),
-                Err(EvtError::DegenerateSample) => TailModel::Degenerate,
-                Err(e) => return Err(e),
-            },
-        };
-        Ok(Pwcet { eccdf, tail })
+        let mut sorted = SortedSample::new(dither);
+        sorted.extend(sample);
+        let tail = sorted.fit(method, tail_cfg)?;
+        Ok(sorted.into_pwcet(tail))
     }
 
     /// The underlying empirical distribution.
@@ -145,33 +117,7 @@ impl Pwcet {
     /// Panics unless `0 < p < 1`.
     #[must_use]
     pub fn quantile(&self, p: f64) -> f64 {
-        assert!(
-            p > 0.0 && p < 1.0,
-            "exceedance probability must be in (0, 1)"
-        );
-        match &self.tail {
-            TailModel::Degenerate => self.eccdf.max(),
-            TailModel::ExpTail(f) => {
-                if p >= f.zeta {
-                    self.eccdf.quantile(p)
-                } else {
-                    // A pWCET estimate must never undercut what was already
-                    // observed at the same exceedance probability.
-                    f.quantile(p).max(self.eccdf.quantile(p))
-                }
-            }
-            TailModel::Gumbel(g) => {
-                // Use the empirical body where the sample still resolves p.
-                let resolvable = 10.0 / self.eccdf.len() as f64;
-                if p >= resolvable {
-                    self.eccdf
-                        .quantile(p)
-                        .max(g.quantile(p).min(self.eccdf.max()))
-                } else {
-                    g.quantile(p)
-                }
-            }
-        }
+        quantile(&self.eccdf, &self.tail, p)
     }
 
     /// Modelled exceedance probability of `x`.
@@ -201,6 +147,147 @@ impl Pwcet {
                 }
             }
         }
+    }
+
+    /// Assembles a fit from its parts, for the from-scratch reference.
+    #[cfg(test)]
+    pub(crate) fn from_parts(eccdf: Eccdf, tail: TailModel) -> Pwcet {
+        Pwcet { eccdf, tail }
+    }
+}
+
+/// [`Pwcet::quantile`] of an ECCDF body and a tail model.
+fn quantile(eccdf: &Eccdf, tail: &TailModel, p: f64) -> f64 {
+    assert!(
+        p > 0.0 && p < 1.0,
+        "exceedance probability must be in (0, 1)"
+    );
+    match tail {
+        TailModel::Degenerate => eccdf.max(),
+        TailModel::ExpTail(f) => {
+            if p >= f.zeta {
+                eccdf.quantile(p)
+            } else {
+                // A pWCET estimate must never undercut what was already
+                // observed at the same exceedance probability.
+                f.quantile(p).max(eccdf.quantile(p))
+            }
+        }
+        TailModel::Gumbel(g) => {
+            // Use the empirical body where the sample still resolves p.
+            let resolvable = 10.0 / eccdf.len() as f64;
+            if p >= resolvable {
+                eccdf.quantile(p).max(g.quantile(p).min(eccdf.max()))
+            } else {
+                g.quantile(p)
+            }
+        }
+    }
+}
+
+/// A growing sample of execution times, kept dithered and sorted so that a
+/// refit after each append costs no full sort.
+///
+/// [`Pwcet::fit`] fills one in a single append; [`crate::converge`] appends
+/// every step's new runs to one it carries across steps. An append dithers
+/// only the new runs (run i's noise is the i-th draw of one `SplitMix64`
+/// stream, whatever the appends before it), sorts them and merges them into
+/// the sorted copy, so the state after any sequence of appends is bit for
+/// bit the state one append of the whole sample builds.
+#[derive(Debug)]
+pub(crate) struct SortedSample {
+    noise: Option<SplitMix64>,
+    /// The first raw cycle count, and whether every run so far equals it.
+    first: Option<u64>,
+    all_equal: bool,
+    /// Dithered values in run order: Gumbel's block maxima need it.
+    values: Vec<f64>,
+    /// The same values ascending, shared by the ECCDF and the CV tail fit.
+    sorted: Eccdf,
+}
+
+impl SortedSample {
+    pub(crate) fn new(dither: Dither) -> Self {
+        Self {
+            noise: match dither {
+                Dither::None => None,
+                Dither::Uniform { seed } => Some(SplitMix64::new(seed)),
+            },
+            first: None,
+            all_equal: true,
+            values: Vec::new(),
+            sorted: Eccdf::from_sorted(Vec::new()),
+        }
+    }
+
+    /// Appends runs (cycle counts) to the sample.
+    pub(crate) fn extend(&mut self, runs: &[u64]) {
+        if let Some(&head) = runs.first() {
+            let first = *self.first.get_or_insert(head);
+            self.all_equal &= runs.iter().all(|&v| v == first);
+        }
+        let start = self.values.len();
+        let noise = &mut self.noise;
+        self.values.extend(runs.iter().map(|&v| match noise {
+            None => v as f64,
+            Some(rng) => v as f64 + rng.next_f64(),
+        }));
+        let mut fresh = self.values[start..].to_vec();
+        fresh.sort_unstable_by(f64::total_cmp);
+        self.sorted.merge(fresh);
+    }
+
+    /// Fits `method`'s tail to the sample so far.
+    pub(crate) fn fit(
+        &self,
+        method: FitMethod,
+        tail_cfg: &TailConfig,
+    ) -> Result<TailModel, EvtError> {
+        if self.values.is_empty() {
+            return Err(EvtError::NotEnoughData { needed: 1, got: 0 });
+        }
+        // Degeneracy is decided on the raw cycle counts: dithering a
+        // constant sample must not manufacture a synthetic tail.
+        if self.all_equal {
+            return Ok(TailModel::Degenerate);
+        }
+        let fit = match method {
+            FitMethod::ExpTailCv => {
+                fit_sorted_exp_tail(self.sorted.sorted_values(), tail_cfg).map(TailModel::ExpTail)
+            }
+            FitMethod::Gumbel { block_size } => {
+                fit_gumbel(&self.values, block_size).map(TailModel::Gumbel)
+            }
+        };
+        match fit {
+            Err(EvtError::DegenerateSample) => Ok(TailModel::Degenerate),
+            fit => fit,
+        }
+    }
+
+    /// The raw cycle count of a constant sample, whose ECCDF is that count
+    /// rather than the dithered values.
+    fn constant(&self) -> Option<u64> {
+        self.first.filter(|_| self.all_equal)
+    }
+
+    /// [`Pwcet::quantile`] of the fit `tail` (from [`Self::fit`]), without
+    /// building the [`Pwcet`].
+    pub(crate) fn quantile(&self, tail: &TailModel, p: f64) -> f64 {
+        match self.constant() {
+            // Every quantile of a constant ECCDF is its one value.
+            Some(c) => quantile(&Eccdf::from_sorted(vec![c as f64]), tail, p),
+            None => quantile(&self.sorted, tail, p),
+        }
+    }
+
+    /// The [`Pwcet`] of the fit `tail` (from [`Self::fit`]).
+    pub(crate) fn into_pwcet(self, tail: TailModel) -> Pwcet {
+        let eccdf = match self.constant() {
+            Some(c) => Eccdf::from_sorted(vec![c as f64; self.values.len()]),
+            None => self.sorted,
+        };
+        Pwcet { eccdf, tail }
     }
 }
 
@@ -290,6 +377,46 @@ mod tests {
             ),
             Err(EvtError::NotEnoughData { .. })
         ));
+    }
+
+    #[test]
+    fn fit_matches_the_from_scratch_composition() {
+        let tied: Vec<u64> = sample(3_000, 5).iter().map(|v| v / 50 * 50).collect();
+        let mut late_change = vec![900u64; 500];
+        late_change.push(901);
+        for (label, s) in [
+            ("exponential", sample(4_001, 3)),
+            ("tied", tied),
+            ("constant", vec![777u64; 500]),
+            ("late change", late_change),
+            ("short", sample(30, 1)),
+            ("empty", Vec::new()),
+        ] {
+            for method in [FitMethod::ExpTailCv, FitMethod::Gumbel { block_size: 20 }] {
+                for dither in [Dither::None, Dither::Uniform { seed: 0xD17 }] {
+                    let cfg = TailConfig::default();
+                    assert_eq!(
+                        format!("{:?}", Pwcet::fit(&s, method, &cfg, dither)),
+                        format!("{:?}", crate::oracle::pwcet_fit(&s, method, &cfg, dither)),
+                        "{label}, {method:?}, {dither:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn appends_in_steps_equal_one_append() {
+        let s = sample(2_000, 9);
+        for dither in [Dither::None, Dither::Uniform { seed: 4 }] {
+            let mut stepped = SortedSample::new(dither);
+            for chunk in s.chunks(300) {
+                stepped.extend(chunk);
+            }
+            let mut whole = SortedSample::new(dither);
+            whole.extend(&s);
+            assert_eq!(format!("{stepped:?}"), format!("{whole:?}"), "{dither:?}");
+        }
     }
 
     #[test]
