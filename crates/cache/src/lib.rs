@@ -18,7 +18,8 @@
 //!   between runs, exactly like the paper's per-run cache flush + new memory
 //!   layout.
 //! * [`BatchCache`] — W independent layouts in struct-of-arrays state,
-//!   advanced in lockstep so a campaign walks the trace once per W runs.
+//!   advanced in lockstep so one walk of a line stream serves W runs
+//!   (campaigns no longer use it; the benchmark probe times it).
 //! * [`single_set`] — the focused one-set simulation TAC uses to estimate the
 //!   miss impact of a conflict group.
 //!

@@ -105,11 +105,10 @@ pub struct AnalysisConfig {
     /// interval, so — like `threads` — it is excluded from
     /// [`AnalysisConfig::digest`].
     pub checkpoint_interval: usize,
-    /// Cache layouts simulated per trace pass, in the convergence stage's
-    /// steps and in measurement campaigns alike
-    /// (`mbcr_cpu::Parallelism::batch_width`). Samples are bit-identical at
-    /// every width, so — like `threads` — this is a pure throughput knob,
-    /// excluded from [`AnalysisConfig::digest`].
+    /// Passed on as `mbcr_cpu::Parallelism::batch_width`, which no longer
+    /// picks a kernel: campaigns simulate one layout at a time whatever
+    /// its value. Samples are bit-identical at every width, so — like
+    /// `threads` — it is excluded from [`AnalysisConfig::digest`].
     pub batch_width: usize,
 }
 
@@ -250,8 +249,8 @@ impl AnalysisConfigBuilder {
         self
     }
 
-    /// Sets the layouts-per-pass width of convergence and campaigns
-    /// (clamped to at least 1). Never affects results.
+    /// Sets [`AnalysisConfig::batch_width`] (clamped to at least 1).
+    /// Changes neither results nor the kernel campaigns run.
     #[must_use]
     pub fn batch_width(mut self, width: usize) -> Self {
         self.cfg.batch_width = width.max(1);

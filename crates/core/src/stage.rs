@@ -591,8 +591,8 @@ pub struct ConvergeStage<'c> {
     pub convergence: &'c ConvergenceConfig,
     /// Master seed of the campaign's run-seed stream.
     pub campaign_seed: u64,
-    /// Cache layouts simulated per trace pass (never affects results, so
-    /// not part of the digest).
+    /// Passed on as `mbcr_cpu::Parallelism::batch_width`, which changes
+    /// neither results nor the kernel (so not part of the digest).
     pub batch_width: usize,
 }
 

@@ -1,12 +1,12 @@
-//! One-pass multi-layout campaign simulation.
+//! One-pass multi-layout simulation.
 //!
 //! [`BatchPlatform`] pairs two [`BatchCache`]s (IL1 + DL1) so one walk of a
 //! resolved trace produces the execution times of `W` independent
-//! measurement runs. Run `i` of a campaign is seeded
-//! `derive_seed(master_seed, i)` regardless of batching, and each layout in
-//! the batch consumes exactly the RNG stream its standalone counterpart
-//! would, so the `W`-wide output is bit-identical to the serial stream for
-//! every `W` — the repo invariant the campaign drivers rely on.
+//! measurement runs. Each layout in the batch consumes exactly the RNG
+//! stream its standalone counterpart would, so the `W`-wide output is
+//! bit-identical to the serial stream for every `W`. Campaigns no longer
+//! run it ([`CompiledCampaign`](crate::CompiledCampaign) simulates only the
+//! cache sets that can evict); the benchmark probe still times it.
 
 use mbcr_cache::BatchCache;
 use mbcr_rng::derive_seed;
@@ -28,8 +28,8 @@ use crate::{LatencyConfig, PlatformConfig, ResolvedTrace};
 /// let rt = ResolvedTrace::resolve(&cfg, &trace);
 /// let seeds: Vec<u64> = (0..8).map(|i| derive_seed(42, i)).collect();
 /// let mut batch = BatchPlatform::new(&cfg, &seeds);
-/// let serial = Parallelism::serial().batch_width(1);
-/// assert_eq!(batch.run_resolved(&rt), campaign_slice_with(&cfg, &trace, 0, 8, 42, &serial));
+/// let par = Parallelism::serial();
+/// assert_eq!(batch.run_resolved(&rt), campaign_slice_with(&cfg, &trace, 0, 8, 42, &par));
 /// ```
 #[derive(Debug, Clone)]
 pub struct BatchPlatform {

@@ -20,13 +20,18 @@
 //!   simulated on its own and slices concatenate to the full campaign;
 //! * every campaign compiles its seed stream once ([`CompiledCampaign`]):
 //!   the trace resolves to line ids ([`ResolvedTrace`]), minus the
-//!   same-line repeats that hit in every layout, and one kernel
-//!   sweeps up to [`Parallelism::batch_width`] layouts per trace pass
-//!   ([`BatchPlatform`]), optionally split across
-//!   [`Parallelism::threads`] — pure throughput knobs: the sample is
-//!   bit-identical at every thread count and batch width.
+//!   same-line repeats that hit in every layout, and one kernel, exact
+//!   for every configuration, simulates one layout at a time and in it
+//!   only the cache sets that can evict: a set holding at most W of the
+//!   trace's lines never evicts, so each of its lines costs one miss,
+//!   and only the accesses to over-full sets replay, in trace order.
+//!   Runs may split across [`Parallelism::threads`], a pure throughput
+//!   knob: the sample is bit-identical at every thread count.
 //!   [`campaign_slice_with`] is the one-shot form, and
 //!   [`CompiledCampaign::slice_chunked`] the checkpointing one.
+//!   [`Platform`] stays the reference the kernel is tested against, and
+//!   [`BatchPlatform`] the `W`-layouts-per-pass engine the benchmark probe
+//!   times.
 //!
 //! # Examples
 //!
@@ -48,10 +53,11 @@ use mbcr_rng::derive_seed;
 use mbcr_trace::{AccessKind, Trace};
 
 mod batch;
-mod fastpath;
+mod kernel;
 mod resolved;
 
 pub use batch::BatchPlatform;
+use kernel::CompiledCache;
 pub use resolved::{ResolvedOp, ResolvedTrace};
 
 /// Access latencies (cycles) of the in-order pipeline.
@@ -285,13 +291,17 @@ impl Platform {
 }
 
 /// One seed stream compiled for repeated slicing: the trace resolved to
-/// line ids once ([`ResolvedTrace`]) and the simulation kernel picked
-/// once — the specialized 2-way random-replacement kernel where the
-/// configuration allows it, the general [`BatchPlatform`] otherwise, and
-/// the serial [`Platform`] loop at batch width 1. The kernel's state is
-/// reused from slice to slice, so a driver that draws many short slices
-/// (MBPTA convergence extends its sample 100 runs at a time) pays the
-/// set-up once, not per slice.
+/// line ids once ([`ResolvedTrace`]), and each cache's share of it
+/// compiled once for the campaign kernel. The kernel simulates one layout
+/// at a time, and within it only the cache sets that can evict: a set
+/// that holds at most W of the trace's lines (W = ways) never evicts, so
+/// each of its lines costs exactly one miss, and only the accesses to
+/// over-full sets replay, in trace order, with `Cache::access_line`'s
+/// victim rule. The kernel is exact for every geometry, placement and
+/// replacement policy and latency setting. Its scratch state is reused
+/// from slice to slice, so a driver that draws many short slices (MBPTA
+/// convergence extends its sample 100 runs at a time) pays the set-up
+/// once, not per slice.
 ///
 /// Run `i` is always seeded `derive_seed(master_seed, i)`, so every slice
 /// is bit-identical to the one-layout-at-a-time [`Platform`] loop at any
@@ -314,52 +324,33 @@ impl Platform {
 /// ```
 #[derive(Debug, Clone)]
 pub struct CompiledCampaign {
-    cfg: PlatformConfig,
-    rt: ResolvedTrace,
+    il1: CompiledCache,
+    dl1: CompiledCache,
+    latency: LatencyConfig,
+    /// Cycles every run pays whatever its layout: the fetches' issue
+    /// cycles and the hit cost of the same-line repeats the resolution
+    /// dropped.
+    fixed_cycles: u64,
     master_seed: u64,
     par: Parallelism,
-    kernel: Kernel,
-    /// Run seeds of the current pass (reused allocation).
-    seeds: Vec<u64>,
-}
-
-/// The kernel a [`CompiledCampaign`] runs, holding its reusable state
-/// (built by the first pass).
-#[derive(Debug, Clone)]
-enum Kernel {
-    /// Width 1: one layout per trace walk on a platform reseeded in place.
-    Serial(Option<Platform>),
-    /// Paper-shaped configurations: [`fastpath::FastCampaign`].
-    Fast(fastpath::FastCampaign),
-    /// Everything else: the general batched engine.
-    Batch(Option<BatchPlatform>),
 }
 
 impl CompiledCampaign {
-    /// Resolves `trace` for `cfg` and picks the kernel for
-    /// `par.batch_width` layouts per pass; `par.threads` and
-    /// `par.min_parallel_runs` then govern every [`slice`](Self::slice).
+    /// Resolves `trace` for `cfg` and compiles it for the campaign kernel;
+    /// `par.threads` and `par.min_parallel_runs` then govern every
+    /// [`slice`](Self::slice) (`par.batch_width` changes nothing).
     #[must_use]
     pub fn new(cfg: &PlatformConfig, trace: &Trace, master_seed: u64, par: &Parallelism) -> Self {
         let rt = ResolvedTrace::resolve(cfg, trace);
-        let par = Parallelism {
-            batch_width: par.batch_width.max(1),
-            ..*par
-        };
-        let kernel = if par.batch_width == 1 {
-            Kernel::Serial(None)
-        } else {
-            fastpath::FastCampaign::try_new(cfg, &rt)
-                .filter(|fast| fast.supports_width(par.batch_width))
-                .map_or(Kernel::Batch(None), Kernel::Fast)
-        };
+        let il1 = CompiledCache::new(cfg, &rt, true);
+        let dl1 = CompiledCache::new(cfg, &rt, false);
         Self {
-            cfg: *cfg,
-            rt,
+            fixed_cycles: rt.repeat_cycles(&cfg.latency) + il1.len() * cfg.latency.issue_cycles,
+            il1,
+            dl1,
+            latency: cfg.latency,
             master_seed,
-            par,
-            kernel,
-            seeds: Vec::with_capacity(par.batch_width),
+            par: *par,
         }
     }
 
@@ -372,14 +363,14 @@ impl CompiledCampaign {
         let mut out = vec![0u64; runs];
         let threads = self.par.threads.max(1).min(runs.max(1));
         if threads <= 1 || runs < self.par.min_parallel_runs.max(2) {
-            self.run_passes(start, &mut out);
+            self.run_slice(start, &mut out);
             return out;
         }
         let part = runs.div_ceil(threads);
         std::thread::scope(|scope| {
             for (t, slot) in out.chunks_mut(part).enumerate() {
                 let mut worker = self.clone();
-                scope.spawn(move || worker.run_passes(start + t * part, slot));
+                scope.spawn(move || worker.run_slice(start + t * part, slot));
             }
         });
         out
@@ -400,11 +391,9 @@ impl CompiledCampaign {
     /// whatever remains), so a checkpoint log fed by `sink` has the same
     /// chunk layout no matter where the slice starts — an
     /// interrupted-then-resumed campaign replays the grid, not an offset
-    /// of it. `chunk_runs == 0` simulates the slice as one chunk. Layout
-    /// batches never straddle a chunk boundary, so
-    /// [`Parallelism::batch_width`] clamps to the checkpoint grid for
-    /// free. The returned sample equals [`slice`](Self::slice) for every
-    /// chunking (when the sink never aborts).
+    /// of it. `chunk_runs == 0` simulates the slice as one chunk. The
+    /// returned sample equals [`slice`](Self::slice) for every chunking
+    /// (when the sink never aborts).
     pub fn slice_chunked(
         &mut self,
         start: usize,
@@ -418,15 +407,9 @@ impl CompiledCampaign {
         while at < end {
             let next = next_chunk_boundary(at, chunk_runs, end);
             let slice = {
-                // Spans the chunk's simulation; `batch_width` is the
-                // realized layouts-per-pass after clamping to the chunk.
                 let _span = mbcr_obs::span(mbcr_obs::SpanKind::CampaignChunk, "simulate-chunk")
                     .field("start", at.to_string())
-                    .field("runs", (next - at).to_string())
-                    .field(
-                        "batch_width",
-                        self.par.batch_width.min(next - at).to_string(),
-                    );
+                    .field("runs", (next - at).to_string());
                 self.slice(at, next - at)
             };
             let keep_going = sink(at, &slice);
@@ -439,52 +422,23 @@ impl CompiledCampaign {
         out
     }
 
-    /// Fills `out` with runs `start .. start + out.len()` in passes of up
-    /// to `batch_width` layouts, recording each batched pass's realized
-    /// width in the `mbcr_campaign_layouts_per_pass` histogram.
-    fn run_passes(&mut self, start: usize, out: &mut [u64]) {
-        let Self {
-            cfg,
-            rt,
-            master_seed,
-            par,
-            kernel,
-            seeds,
-        } = self;
-        let mut at = start;
-        for pass in out.chunks_mut(par.batch_width) {
-            seeds.clear();
-            seeds.extend((at..at + pass.len()).map(|i| derive_seed(*master_seed, i as u64)));
-            at += pass.len();
-            match kernel {
-                Kernel::Serial(platform) => {
-                    let seed = seeds[0];
-                    let platform = match platform {
-                        Some(platform) => {
-                            platform.reseed(seed);
-                            platform
-                        }
-                        None => platform.insert(Platform::for_run(cfg, seed)),
-                    };
-                    pass[0] = platform.run_resolved(rt);
-                }
-                Kernel::Fast(fast) => {
-                    mbcr_obs::observe("mbcr_campaign_layouts_per_pass", &[], pass.len() as u64);
-                    fast.run_pass(seeds, pass);
-                }
-                Kernel::Batch(platform) => {
-                    mbcr_obs::observe("mbcr_campaign_layouts_per_pass", &[], pass.len() as u64);
-                    let batch = match platform {
-                        Some(batch) => {
-                            batch.reseed(seeds);
-                            batch
-                        }
-                        None => platform.insert(BatchPlatform::new(cfg, seeds)),
-                    };
-                    pass.copy_from_slice(batch.run_resolved(rt));
-                }
-            }
+    /// Fills `out` with the times of runs `start .. start + out.len()`.
+    fn run_slice(&mut self, start: usize, out: &mut [u64]) {
+        for (i, time) in (start..).zip(out) {
+            *time = self.run(derive_seed(self.master_seed, i as u64));
         }
+    }
+
+    /// The execution time of the run seeded `run_seed`.
+    fn run(&mut self, run_seed: u64) -> u64 {
+        let lat = self.latency;
+        let (il1, _) = self.il1.misses(run_seed);
+        let (dl1, _) = self.dl1.misses(run_seed);
+        self.fixed_cycles
+            + (self.il1.len() - il1) * lat.il1_hit
+            + il1 * lat.il1_miss
+            + (self.dl1.len() - dl1) * lat.dl1_hit
+            + dl1 * lat.dl1_miss
     }
 }
 
@@ -498,23 +452,21 @@ pub struct Parallelism {
     /// Campaigns shorter than this run serially: below a few hundred runs
     /// the thread spawn cost dominates the simulation itself.
     pub min_parallel_runs: usize,
-    /// Layouts simulated per trace pass ([`BatchPlatform`]), clamped to at
-    /// least 1; `1` is the classic one-layout-at-a-time loop. Output is
-    /// bit-identical for every width, so this is a pure throughput knob —
-    /// digest-neutral in every campaign driver.
+    /// Read by no campaign kernel: [`CompiledCampaign`] simulates one
+    /// layout at a time at every width, and the sample never depends on
+    /// it. Kept, like [`DEFAULT_BATCH_WIDTH`], for the benchmark probe
+    /// (`perfbench/probe`), which builds this struct and times
+    /// [`BatchPlatform`] at the default width.
     pub batch_width: usize,
 }
 
-/// Default [`Parallelism::batch_width`]: wide enough to amortize the trace
-/// walk, small enough that the batched IL1+DL1 state of the paper-default
-/// geometry stays cache-resident (~`2 × 4 KB × 2 × 16` = 256 KB of
-/// tags+meta).
+/// Default [`Parallelism::batch_width`], and the width at which the
+/// benchmark probe times [`BatchPlatform`]. No campaign kernel reads it.
 pub const DEFAULT_BATCH_WIDTH: usize = 16;
 
 impl Parallelism {
     /// Single-threaded campaigns — what a batch engine wants when it
-    /// already runs one job per core. Layout batching stays on (it needs no
-    /// extra threads and changes no output).
+    /// already runs one job per core.
     #[must_use]
     pub fn serial() -> Self {
         Self {
@@ -534,7 +486,8 @@ impl Parallelism {
         }
     }
 
-    /// Replaces the layouts-per-pass width (clamped to at least 1).
+    /// Replaces [`Parallelism::batch_width`] (clamped to at least 1), which
+    /// changes no kernel and no output.
     #[must_use]
     pub fn batch_width(mut self, width: usize) -> Self {
         self.batch_width = width.max(1);
@@ -862,11 +815,10 @@ mod tests {
     }
 
     #[test]
-    fn dropped_repeats_cost_their_hits_in_every_kernel() {
-        // Width 1 is the serial loop; on the 2-way random configs wider
-        // passes run fastpath, on the 4-way ones the general batch engine
-        // (random and LRU replacement). The small caches make conflict
-        // misses, and so RNG draws and LRU victims, common.
+    fn dropped_repeats_cost_their_hits_in_every_config() {
+        // 2- and 4-way caches, random and LRU replacement. The small caches
+        // make over-full sets, and so replays with RNG draws and LRU
+        // victims, common.
         let two_way = CacheGeometry::new(512, 2, 32).unwrap();
         let four_way = CacheGeometry::new(1024, 4, 32).unwrap();
         let configs = [
@@ -1010,8 +962,8 @@ mod tests {
     #[test]
     fn compiled_campaign_steps_match_the_oracle() {
         // Convergence-shaped draws (an initial block, then short
-        // extensions) on every kernel: fastpath (2-way random), the
-        // general batch engine (4-way, LRU) and the serial loop (width 1).
+        // extensions) at 2- and 4-way, random and LRU replacement, and at
+        // every batch width, which must change nothing.
         let trace = sym_trace("ABCDEFGHIJKLMNOPQRSTUVWXYZ", 12);
         let four_way = PlatformConfig {
             il1: CacheGeometry::new(4096, 4, 32).unwrap(),

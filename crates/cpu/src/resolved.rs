@@ -6,8 +6,8 @@
 //! replays the same trace `R` times, so doing the division inside the run
 //! loop pays it `R × len` times. [`ResolvedTrace`] does it once per campaign
 //! — fetches quantized by the IL1 line size, loads/stores by the DL1's —
-//! and both the serial and batched campaign paths replay the resolved
-//! stream.
+//! and the campaign kernel, [`Platform`](crate::Platform) and
+//! [`BatchPlatform`](crate::BatchPlatform) all replay the resolved stream.
 //!
 //! # Same-line repeats
 //!

@@ -1,11 +1,15 @@
-//! Property test for the campaign batching invariant: the batched
-//! multi-layout simulation must be bit-identical to the serial reference
-//! stream (one `Platform` run per seed) across random geometries × placement/replacement policies ×
+//! Property test for the campaign invariant: the compiled campaign must be
+//! bit-identical to the serial reference stream (one `Platform` run per
+//! seed) across random geometries × placement/replacement policies ×
 //! latencies × batch widths × chunk cut points — including widths that do
 //! not divide the chunk, chunks that do not divide the campaign, unaligned
 //! slice starts, and one compiled campaign sliced step by step. Traces mix
-//! in runs of same-line accesses, which the resolved kernels drop and
-//! charge as hits, so the reference replays the unresolved trace.
+//! in runs of same-line accesses, which the resolution drops and charges as
+//! hits, so the reference replays the unresolved trace. Footprints range
+//! from below the cache's line count, where few sets hold more lines than
+//! ways, to three times it, and mix in lines accessed only once, so the
+//! kernel's every branch (no replay, a skipped replay, a replay gathered or
+//! filtered) is reached.
 //!
 //! Each case derives everything (geometries, policies, trace, campaign
 //! shape) from one generated seed via SplitMix64, so a failing case
@@ -41,23 +45,46 @@ fn gen_config(g: &mut SplitMix64) -> PlatformConfig {
     cfg.placement = placement;
     cfg.replacement = replacement;
     // Issue cycles and unequal hit costs, so a dropped repeat charged the
-    // wrong cost shows in the cycle counts.
+    // wrong cost shows in the cycle counts; now and then a miss costs less
+    // than a hit.
     let lat = &mut cfg.latency;
     lat.issue_cycles = g.next_u64() % 4;
     lat.il1_hit = 1 + g.next_u64() % 4;
     lat.dl1_hit = 1 + g.next_u64() % 4;
-    lat.il1_miss = lat.il1_hit + 20 + g.next_u64() % 80;
-    lat.dl1_miss = lat.dl1_hit + 20 + g.next_u64() % 80;
+    lat.il1_miss = miss_cost(g, lat.il1_hit);
+    lat.dl1_miss = miss_cost(g, lat.dl1_hit);
     cfg
 }
 
+/// A miss latency: usually well above `hit`, one time in four below it.
+fn miss_cost(g: &mut SplitMix64, hit: u64) -> u64 {
+    if g.next_u64().is_multiple_of(4) {
+        g.next_u64() % hit
+    } else {
+        hit + 20 + g.next_u64() % 80
+    }
+}
+
 fn gen_trace(g: &mut SplitMix64, cfg: &PlatformConfig) -> Trace {
-    // Footprint a few times the larger cache so conflict misses (and thus
-    // replacement RNG draws) actually happen.
-    let foot = 3 * cfg.il1.lines().max(cfg.dl1.lines());
+    // From one line to three times the larger cache's lines: below its
+    // line count few sets overflow, above it conflict misses (and thus
+    // replacement RNG draws) are common.
+    let lines = cfg.il1.lines().max(cfg.dl1.lines());
+    let foot = 1 + g.next_u64() % (3 * lines);
     let len = 100 + (g.next_u64() % 400) as usize;
     let mut trace = Trace::new();
+    // Lines past the footprint, each accessed once.
+    let mut fresh = foot;
     while trace.len() < len {
+        if g.next_u64().is_multiple_of(5) {
+            trace.push(if g.next_u64().is_multiple_of(2) {
+                Access::fetch(fresh * 64)
+            } else {
+                Access::read(fresh * 64)
+            });
+            fresh += 1;
+            continue;
+        }
         // Sub-line offsets exercise the Address → LineId quantization.
         let addr = (g.next_u64() % foot) * 32 + g.next_u64() % 32;
         let access = match g.next_u64() % 3 {

@@ -98,7 +98,8 @@ pub struct SubmitOptions {
     pub force: bool,
     /// Checkpoint-interval override for this sweep's campaigns.
     pub checkpoint_interval: Option<usize>,
-    /// Campaign layouts-per-pass override for this sweep (digest-neutral).
+    /// Batch-width override for this sweep; it picks no kernel and changes
+    /// no sample (see [`crate::RunOptions::batch_width`]).
     pub batch_width: Option<usize>,
     /// Persist the submission (queue entry + record journal) and
     /// finalize into `sweeps/<id>/`. `false` is the mode of the one-shot

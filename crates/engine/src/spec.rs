@@ -204,7 +204,7 @@ pub struct AnalysisKnobs {
     /// Checkpoint-interval override (digest-neutral; see
     /// [`crate::RunOptions::checkpoint_interval`]).
     pub checkpoint_interval: Option<usize>,
-    /// Layouts-per-pass override for convergence and campaigns
+    /// Batch-width override, which picks no kernel and changes no sample
     /// (digest-neutral; see [`crate::RunOptions::batch_width`]).
     pub batch_width: Option<usize>,
 }

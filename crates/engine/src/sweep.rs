@@ -38,10 +38,10 @@ pub struct RunOptions {
     /// running campaigns to their chunk log every this many runs (`0`
     /// checkpoints only at completion). `None` keeps the config default.
     pub checkpoint_interval: Option<usize>,
-    /// Override [`mbcr::AnalysisConfig::batch_width`]: cache layouts
-    /// simulated per trace pass in convergence steps and measurement
-    /// campaigns. Digest-neutral — samples are bit-identical at every
-    /// width. `None` keeps the tuned config default.
+    /// Override [`mbcr::AnalysisConfig::batch_width`]. Campaigns simulate
+    /// one layout at a time whatever the width, so it changes neither the
+    /// kernel nor the bit-identical samples, and is digest-neutral. `None`
+    /// keeps the config default.
     pub batch_width: Option<usize>,
     /// Order ready jobs by the static cache-analysis pre-screen: cells
     /// whose access sites the abstract classification pins least (the

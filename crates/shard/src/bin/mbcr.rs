@@ -131,11 +131,9 @@ SWEEP OPTIONS:
     --checkpoint-interval N  Checkpoint running campaigns every N runs
                         (0: only at completion; default: 10000). A killed
                         sweep resumes from its last campaign checkpoint.
-    --batch-width W     Cache layouts simulated per trace pass in
-                        convergence steps and measurement campaigns
-                        (default: 16; 1 restores the one-layout-at-a-time
-                        loop). Pure throughput knob: samples and artifacts
-                        are byte-identical at every width.
+    --batch-width W     Accepted for compatibility and ignored: campaigns
+                        simulate one cache layout at a time, and samples
+                        and artifacts are byte-identical at every width.
     --shards N          Shard across N self-hosted local worker processes
                         (spawns a coordinator plus N `mbcr worker`s);
                         results are byte-identical to a plain sweep

@@ -1,12 +1,11 @@
-//! Layout batching is a pure throughput knob: `--batch-width` must never
-//! change a single artifact byte.
+//! `--batch-width` picks no kernel and must never change a single artifact
+//! byte.
 //!
 //! * a sweep at any batch width produces a store byte-identical to the
-//!   width-1 (classic one-layout-at-a-time) sweep — every stage artifact
-//!   (the convergence samples included), the campaign chunk logs and the
-//!   rendered Table 2 — on the 2-way paper geometry (the specialized
-//!   kernel) and on a 4-way one (the general batch engine), convergence
-//!   and campaign alike;
+//!   width-1 sweep — every stage artifact (the convergence samples
+//!   included), the campaign chunk logs and the rendered Table 2 — on the
+//!   2-way paper geometry and on a 4-way one, convergence and campaign
+//!   alike;
 //! * that equivalence survives a mid-campaign kill: a batched sweep torn
 //!   inside its final chunk frames and resumed at a *different* batch
 //!   width still reconstructs the serial store exactly.
