@@ -74,8 +74,8 @@ pub mod stage;
 pub use config::{AnalysisConfig, AnalysisConfigBuilder, TacTuning};
 pub use error::AnalyzeError;
 pub use pipeline::{
-    analyze_multipath, analyze_original, analyze_pub_tac, MultipathAnalysis, OriginalAnalysis,
-    PubTacAnalysis,
+    analyze_multipath, analyze_original, analyze_pub_tac, multipath_min, MultipathAnalysis,
+    OriginalAnalysis, PubTacAnalysis,
 };
 pub use report::{render_curve, render_report};
 pub use stage::{

@@ -139,16 +139,26 @@ pub fn analyze_multipath(
         let analysis = analyze_pub_tac(program, input, cfg)?;
         per_input.push((name.clone(), analysis));
     }
-    let (best_input, best_pwcet) = per_input
-        .iter()
-        .map(|(n, a)| (n.clone(), a.pwcet_pub_tac))
-        .min_by(|a, b| a.1.total_cmp(&b.1))
-        .expect("non-empty inputs");
+    let (best, best_pwcet) =
+        multipath_min(per_input.iter().map(|(_, a)| a.pwcet_pub_tac)).expect("non-empty inputs");
     Ok(MultipathAnalysis {
+        best_input: per_input[best].0.clone(),
         per_input,
         best_pwcet,
-        best_input,
     })
+}
+
+/// Corollary 2 over per-input pWCETs: every pubbed path's estimate
+/// upper-bounds all original paths, so a multipath program's pWCET is the
+/// lowest. Returns the position and value of that minimum — the first one
+/// on ties, in [`f64::total_cmp`] order — or `None` when `pwcets` is empty.
+/// [`analyze_multipath`] and the sweep engine's combine node both call it.
+#[must_use]
+pub fn multipath_min(pwcets: impl IntoIterator<Item = f64>) -> Option<(usize, f64)> {
+    pwcets
+        .into_iter()
+        .enumerate()
+        .min_by(|a, b| a.1.total_cmp(&b.1))
 }
 
 #[cfg(test)]
@@ -247,6 +257,17 @@ mod tests {
             .fold(f64::INFINITY, f64::min);
         assert_eq!(m.best_pwcet, min);
         assert!(m.per_input.iter().any(|(n, _)| *n == m.best_input));
+    }
+
+    #[test]
+    fn multipath_min_keeps_the_first_minimum() {
+        assert_eq!(multipath_min([3.0, 1.0, 2.0, 1.0]), Some((1, 1.0)));
+        assert_eq!(
+            multipath_min([f64::NAN, 2.0]),
+            Some((1, 2.0)),
+            "NaN sorts last"
+        );
+        assert_eq!(multipath_min([]), None);
     }
 
     #[test]

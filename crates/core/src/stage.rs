@@ -1634,19 +1634,6 @@ fn tac_from_json(v: &Json) -> Option<TacAnalysis> {
     })
 }
 
-/// Which cached artifacts a session refuses to load (see
-/// [`AnalysisSession::with_force`] / [`AnalysisSession::with_force_stage`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ForceScope {
-    /// Load every valid cached artifact (the default).
-    None,
-    /// Ignore all cached artifacts; recompute everything.
-    All,
-    /// Ignore only one stage's cached artifact; upstream stages still
-    /// load.
-    Only(StageKind),
-}
-
 /// Drives the stages of one analysis: memoizes outputs, loads/persists
 /// stage artifacts through an optional [`StageStore`], and assembles the
 /// classic result structs — bit-identical to the monolithic entry points.
@@ -1656,7 +1643,9 @@ pub struct AnalysisSession<'a> {
     cfg: &'a AnalysisConfig,
     pipeline: PipelineKind,
     store: Option<&'a dyn StageStore>,
-    force: ForceScope,
+    /// The one stage whose cached artifact is ignored
+    /// ([`AnalysisSession::with_force_stage`]).
+    force: Option<StageKind>,
     digests: StageDigests,
     pub_result: Option<PubResult>,
     pub_report: Option<PubReport>,
@@ -1683,7 +1672,7 @@ impl<'a> AnalysisSession<'a> {
             cfg,
             pipeline,
             store: None,
-            force: ForceScope::None,
+            force: None,
             digests: StageDigests::compute(program, input, cfg, pipeline),
             pub_result: None,
             pub_report: None,
@@ -1719,18 +1708,6 @@ impl<'a> AnalysisSession<'a> {
         self
     }
 
-    /// When set, cached artifacts are ignored (every stage recomputes and
-    /// overwrites its artifact) — the standalone `--force` semantics.
-    #[must_use]
-    pub fn with_force(mut self, force: bool) -> Self {
-        self.force = if force {
-            ForceScope::All
-        } else {
-            ForceScope::None
-        };
-        self
-    }
-
     /// Ignores the cached artifact of `stage` only: that one stage
     /// recomputes and overwrites its artifact while upstream stages still
     /// load from the store. This is what a stage-granular scheduler wants
@@ -1739,7 +1716,7 @@ impl<'a> AnalysisSession<'a> {
     /// node's session would multiply the expensive stages.
     #[must_use]
     pub fn with_force_stage(mut self, stage: StageKind) -> Self {
-        self.force = ForceScope::Only(stage);
+        self.force = Some(stage);
         self
     }
 
@@ -1927,11 +1904,7 @@ impl<'a> AnalysisSession<'a> {
     }
 
     fn is_forced(&self, stage: StageKind) -> bool {
-        match self.force {
-            ForceScope::None => false,
-            ForceScope::All => true,
-            ForceScope::Only(s) => s == stage,
-        }
+        self.force == Some(stage)
     }
 
     fn load_artifact(&self, stage: StageKind) -> Option<Json> {

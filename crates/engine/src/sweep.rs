@@ -814,10 +814,10 @@ fn summary_from_stage_artifact(
                 .and_then(Json::as_f64)
                 .unwrap_or(f64::NAN);
             s.trace_len = data.get("trace_len").and_then(Json::as_u64);
-            s.converged = data.get("converged").and_then(Json::as_bool);
             let converge_runs = data.get("converge_runs").and_then(Json::as_u64);
             if original {
                 s.r_orig = converge_runs;
+                s.converged = data.get("converged").and_then(Json::as_bool);
             } else {
                 s.r_pub = converge_runs;
                 s.r_tac = data.get("r_tac").and_then(Json::as_u64);
@@ -990,11 +990,9 @@ pub fn execute_combine(
         })?;
         per_input.push((dep_summary.input.unwrap_or_default(), dep_summary.pwcet));
     }
-    let (best_input, best_pwcet) = per_input
-        .iter()
-        .cloned()
-        .min_by(|a, b| a.1.total_cmp(&b.1))
+    let (best, best_pwcet) = mbcr::multipath_min(per_input.iter().map(|(_, pwcet)| *pwcet))
         .expect("combine jobs have at least two dependencies");
+    let best_input = per_input[best].0.clone();
     summary.pwcet = best_pwcet;
     summary.best_input = Some(best_input.clone());
     let result = Json::Obj(vec![

@@ -12,7 +12,7 @@
 use std::collections::BTreeSet;
 
 use crate::cfg::{BlockId, Cfg, Terminator};
-use crate::expr::{BinOp, Expr, UnOp};
+use crate::expr::Expr;
 use crate::stmt::Stmt;
 
 /// A natural loop discovered from a back edge.
@@ -278,54 +278,17 @@ fn collect_loop_ids(stmts: &[Stmt], next_id: &mut u32, out: &mut Vec<u32>) {
 /// Evaluates a constant expression, if it is one.
 ///
 /// Variables and loads are unknown (`None`); division/remainder by a
-/// constant zero is `None` too (the interpreter would fault). Semantics
-/// mirror the interpreter's wrapping arithmetic exactly, so a `Some` result
-/// is the value every run computes.
+/// constant zero is `None` too (the interpreter would fault). The operators
+/// are the interpreter's own ([`crate::BinOp::apply`],
+/// [`crate::UnOp::apply`]), so a `Some` result is the value every run
+/// computes.
 #[must_use]
 pub fn const_eval(e: &Expr) -> Option<i64> {
     match e {
         Expr::Const(v) => Some(*v),
         Expr::Var(_) | Expr::Load(..) => None,
-        Expr::Un(op, e) => {
-            let v = const_eval(e)?;
-            Some(match op {
-                UnOp::Neg => v.wrapping_neg(),
-                UnOp::Not => !v,
-                UnOp::LNot => i64::from(v == 0),
-            })
-        }
-        Expr::Bin(op, l, r) => {
-            let a = const_eval(l)?;
-            let b = const_eval(r)?;
-            Some(match op {
-                BinOp::Add => a.wrapping_add(b),
-                BinOp::Sub => a.wrapping_sub(b),
-                BinOp::Mul => a.wrapping_mul(b),
-                BinOp::Div => {
-                    if b == 0 {
-                        return None;
-                    }
-                    a.wrapping_div(b)
-                }
-                BinOp::Rem => {
-                    if b == 0 {
-                        return None;
-                    }
-                    a.wrapping_rem(b)
-                }
-                BinOp::And => a & b,
-                BinOp::Or => a | b,
-                BinOp::Xor => a ^ b,
-                BinOp::Shl => a.wrapping_shl(b as u32 & 63),
-                BinOp::Shr => a.wrapping_shr(b as u32 & 63),
-                BinOp::Lt => i64::from(a < b),
-                BinOp::Le => i64::from(a <= b),
-                BinOp::Gt => i64::from(a > b),
-                BinOp::Ge => i64::from(a >= b),
-                BinOp::Eq => i64::from(a == b),
-                BinOp::Ne => i64::from(a != b),
-            })
-        }
+        Expr::Un(op, e) => Some(op.apply(const_eval(e)?)),
+        Expr::Bin(op, l, r) => op.apply(const_eval(l)?, const_eval(r)?),
     }
 }
 

@@ -53,11 +53,14 @@
 //!
 //! # Simulator cross-validation
 //!
-//! [`validate_classification`] replays concrete inputs through a mirror of
-//! the interpreter that tags every emitted access with its static site,
-//! asserts the mirrored access stream is identical to the real
-//! [`crate::execute`] trace, simulates it against LRU caches, and emits
-//! [`crate::DiagCode`] findings when a static guarantee is violated:
+//! [`validate_classification`] runs each concrete input through
+//! [`crate::execute`] and attributes every access of the run's trace to its
+//! static site. The run's [`crate::PathRecord`] fixes every branch and every
+//! loop trip count, so walking the site tree along it yields the run's site
+//! stream without a second execution; the walk asserts that each access has
+//! its site's kind and lies inside the site's static location. The trace is
+//! then simulated against LRU caches, emitting [`crate::DiagCode`] findings
+//! when a static guarantee is violated:
 //! `CCA001` (always-hit missed), `CCA002` (always-miss hit), `CCA003`
 //! (first-miss missed twice in one scope entry), `CCA004` (aggregate
 //! hit/miss totals undercut the guaranteed bounds).
@@ -70,8 +73,9 @@ use mbcr_trace::{Access, AccessKind, Address};
 
 use crate::analysis::const_eval;
 use crate::expr::Expr;
-use crate::interp::{execute, Inputs, InterpError};
+use crate::interp::{execute, Inputs, InterpError, Run};
 use crate::layout::{layout_program, InstrSpan, LayoutNode};
+use crate::paths::Decision;
 use crate::program::{ArrayDecl, Program, ELEM_BYTES};
 use crate::stmt::Stmt;
 use crate::verify::{DiagCode, Diagnostics};
@@ -92,6 +96,14 @@ pub enum SiteLoc {
 }
 
 impl SiteLoc {
+    /// Whether the byte address `addr` is one this site can access.
+    fn contains(self, addr: u64) -> bool {
+        match self {
+            SiteLoc::Addr(a) => addr == a,
+            SiteLoc::Range { base, end } => (base..end).contains(&addr),
+        }
+    }
+
     /// The memory lines the access can land on under `geom`.
     fn candidate_lines(self, geom: &CacheGeometry) -> Vec<u64> {
         match self {
@@ -286,11 +298,13 @@ pub struct CacheClassification {
 // ---------------------------------------------------------------------------
 
 /// Per-statement site structure, mirroring [`LayoutNode`]. Leaf/header site
-/// id lists are in exact emission order, so the concrete mirror executor
-/// can replay them against collected data addresses.
+/// id lists are in exact emission order, so a walk that takes the branches
+/// and trip counts of a run's [`crate::PathRecord`] emits the run's
+/// accesses site by site (see [`SiteWalk`]).
 enum SiteNode {
     Leaf(Vec<u32>),
     If {
+        construct: u32,
         header: Vec<u32>,
         then_branch: Vec<SiteNode>,
         else_branch: Vec<SiteNode>,
@@ -488,6 +502,7 @@ impl SiteBuilder<'_> {
                 let e = self.build(else_branch, en);
                 self.ctx.pop();
                 SiteNode::If {
+                    construct: *id,
                     header: c.ids,
                     then_branch: t,
                     else_branch: e,
@@ -777,6 +792,7 @@ impl Walker<'_> {
                 header,
                 then_branch,
                 else_branch,
+                ..
             } => {
                 self.apply_sites(header, st);
                 let mut other = st.clone();
@@ -953,9 +969,7 @@ pub fn classify(program: &Program, il1: CacheGeometry, dl1: CacheGeometry) -> Ca
 }
 
 // ---------------------------------------------------------------------------
-// Mirror executor: replays a concrete run, tagging every access with its
-// static site. Only invoked after `execute` succeeded on the same input, so
-// faults the interpreter would have reported are unreachable here.
+// Site walk: one run's accesses attributed to their static sites.
 // ---------------------------------------------------------------------------
 
 enum Ev {
@@ -965,272 +979,123 @@ enum Ev {
     Acc { site: u32, addr: u64 },
 }
 
-struct Mirror<'p> {
-    program: &'p Program,
-    sites: &'p [AccessSite],
-    vars: Vec<i64>,
-    arrays: Vec<Vec<i64>>,
+/// Walks the site tree along one run's [`crate::PathRecord`] and pairs the
+/// i-th site it emits with the i-th access of the run's trace: an `if`
+/// takes the arm its next [`Decision::Branch`] names, and a loop exits at
+/// the header check where its own [`Decision::Loop`] is next with as many
+/// iterations as were walked. The interpreter records a loop's decision at
+/// loop exit, after its body's decisions, so a body that records no
+/// decision sees its loop's exit decision at every header check and only
+/// the trip count tells the exit apart.
+struct SiteWalk<'a> {
+    sites: &'a [AccessSite],
+    trace: &'a [Access],
+    decisions: &'a [Decision],
+    next_access: usize,
+    next_decision: usize,
     events: Vec<Ev>,
 }
 
-impl<'p> Mirror<'p> {
-    fn new(program: &'p Program, sites: &'p [AccessSite], inputs: &Inputs) -> Self {
-        let mut vars = vec![0i64; program.var_count()];
-        for &(v, val) in inputs.vars() {
-            vars[v.0 as usize] = val;
-        }
-        let mut arrays: Vec<Vec<i64>> = program
-            .arrays()
-            .iter()
-            .map(|d| vec![0i64; d.len as usize])
-            .collect();
-        for (a, values) in inputs.arrays() {
-            assert_eq!(
-                values.len(),
-                arrays[a.0 as usize].len(),
-                "array length mismatch survived execute()"
-            );
-            arrays[a.0 as usize] = values.clone();
-        }
-        Self {
-            program,
-            sites,
-            vars,
-            arrays,
-            events: Vec::new(),
-        }
+impl SiteWalk<'_> {
+    /// The events of `run`, walked along `run.path`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the walk and the trace have equal length, every
+    /// access has its site's kind and lies inside its site's [`SiteLoc`]
+    /// (the location the classification assumed), and every decision is
+    /// consumed.
+    fn run(table: &SiteTable, run: &Run) -> Vec<Ev> {
+        let mut w = SiteWalk {
+            sites: &table.sites,
+            trace: run.trace.as_slice(),
+            decisions: run.path.decisions(),
+            next_access: 0,
+            next_decision: 0,
+            events: Vec::with_capacity(run.trace.len()),
+        };
+        w.seq(&table.tree);
+        assert_eq!(
+            w.next_access,
+            w.trace.len(),
+            "site walk out of sync: trace left over"
+        );
+        assert_eq!(
+            w.next_decision,
+            w.decisions.len(),
+            "site walk out of sync: decisions left over"
+        );
+        w.events
     }
 
-    /// Exact mirror of the interpreter's `eval`, collecting the data
-    /// address of every `Load` in evaluation order instead of emitting.
-    fn eval(&mut self, e: &Expr, data: &mut Vec<u64>) -> i64 {
-        match e {
-            Expr::Const(v) => *v,
-            Expr::Var(v) => self.vars[v.0 as usize],
-            Expr::Load(a, idx) => {
-                let i = self.eval(idx, data);
-                let decl = &self.program.arrays()[a.0 as usize];
-                assert!(
-                    i >= 0 && i < i64::from(decl.len),
-                    "out-of-bounds load survived execute()"
-                );
-                data.push(decl.elem_addr(i));
-                self.arrays[a.0 as usize][i as usize]
-            }
-            Expr::Un(op, e) => {
-                let v = self.eval(e, data);
-                match op {
-                    crate::expr::UnOp::Neg => v.wrapping_neg(),
-                    crate::expr::UnOp::Not => !v,
-                    crate::expr::UnOp::LNot => i64::from(v == 0),
-                }
-            }
-            Expr::Bin(op, l, r) => {
-                let a = self.eval(l, data);
-                let b = self.eval(r, data);
-                bin_op(*op, a, b).expect("division by zero survived execute()")
-            }
-        }
-    }
-
-    /// Exact mirror of the interpreter's fault-free `eval_silent`.
-    fn eval_silent(&self, e: &Expr) -> i64 {
-        match e {
-            Expr::Const(v) => *v,
-            Expr::Var(v) => self.vars[v.0 as usize],
-            Expr::Load(a, idx) => {
-                let i = self.eval_silent(idx);
-                let arr = &self.arrays[a.0 as usize];
-                if arr.is_empty() {
-                    0
-                } else {
-                    arr[i.rem_euclid(arr.len() as i64) as usize]
-                }
-            }
-            Expr::Un(op, e) => {
-                let v = self.eval_silent(e);
-                match op {
-                    crate::expr::UnOp::Neg => v.wrapping_neg(),
-                    crate::expr::UnOp::Not => !v,
-                    crate::expr::UnOp::LNot => i64::from(v == 0),
-                }
-            }
-            Expr::Bin(op, l, r) => {
-                let a = self.eval_silent(l);
-                let b = self.eval_silent(r);
-                bin_op(*op, a, b).unwrap_or(0)
-            }
-        }
-    }
-
-    /// Emits one leaf's accesses: fetch sites carry their exact static
-    /// address; data sites consume the collected addresses in order.
-    fn emit_leaf(&mut self, ids: &[u32], data: Vec<u64>) {
-        let mut q = data.into_iter();
+    fn emit(&mut self, ids: &[u32]) {
         for &id in ids {
-            let addr = match self.sites[id as usize].kind {
-                AccessKind::InstrFetch => match self.sites[id as usize].loc {
-                    SiteLoc::Addr(a) => a,
-                    SiteLoc::Range { .. } => unreachable!("fetch sites have exact addresses"),
-                },
-                _ => q.next().expect("fewer data addresses than data sites"),
-            };
-            self.events.push(Ev::Acc { site: id, addr });
-        }
-        assert!(q.next().is_none(), "more data addresses than data sites");
-    }
-
-    fn exec_seq(&mut self, stmts: &[Stmt], nodes: &[SiteNode]) {
-        for (s, n) in stmts.iter().zip(nodes) {
-            self.exec_stmt(s, n);
-        }
-    }
-
-    fn exec_stmt(&mut self, s: &Stmt, n: &SiteNode) {
-        match (s, n) {
-            (Stmt::Assign(v, e), SiteNode::Leaf(ids)) => {
-                let mut data = Vec::new();
-                let val = self.eval(e, &mut data);
-                self.emit_leaf(ids, data);
-                self.vars[v.0 as usize] = val;
-            }
-            (
-                Stmt::Store {
-                    array,
-                    index,
-                    value,
-                },
-                SiteNode::Leaf(ids),
-            ) => {
-                let mut data = Vec::new();
-                let i = self.eval(index, &mut data);
-                let val = self.eval(value, &mut data);
-                let decl = &self.program.arrays()[array.0 as usize];
-                assert!(
-                    i >= 0 && i < i64::from(decl.len),
-                    "out-of-bounds store survived execute()"
-                );
-                data.push(decl.elem_addr(i));
-                self.arrays[array.0 as usize][i as usize] = val;
-                self.emit_leaf(ids, data);
-            }
-            (Stmt::Touch { refs, .. }, SiteNode::Leaf(ids)) => {
-                let mut data = Vec::new();
-                for (a, idx) in refs {
-                    let i = self.eval_silent(idx);
-                    let decl = &self.program.arrays()[a.0 as usize];
-                    data.push(decl.elem_addr(i.rem_euclid(i64::from(decl.len.max(1)))));
-                }
-                self.emit_leaf(ids, data);
-            }
-            (Stmt::Nop { .. }, SiteNode::Leaf(ids)) => self.emit_leaf(ids, Vec::new()),
-            (
-                Stmt::If {
-                    cond,
-                    then_branch,
-                    else_branch,
-                },
-                SiteNode::If {
-                    header,
-                    then_branch: tn,
-                    else_branch: en,
-                },
-            ) => {
-                let mut data = Vec::new();
-                let c = self.eval(cond, &mut data);
-                self.emit_leaf(header, data);
-                if c != 0 {
-                    self.exec_seq(then_branch, tn);
-                } else {
-                    self.exec_seq(else_branch, en);
-                }
-            }
-            (
-                Stmt::While { cond, body, .. },
-                SiteNode::While {
-                    construct,
-                    header,
-                    body: bn,
-                },
-            ) => {
-                self.events.push(Ev::Enter(*construct));
-                loop {
-                    let mut data = Vec::new();
-                    let c = self.eval(cond, &mut data);
-                    self.emit_leaf(header, data);
-                    if c == 0 {
-                        break;
-                    }
-                    self.exec_seq(body, bn);
-                }
-            }
-            (
-                Stmt::For {
-                    var,
-                    from,
-                    to,
-                    body,
-                    ..
-                },
-                SiteNode::For {
-                    construct,
-                    init,
-                    iter,
-                    body: bn,
-                },
-            ) => {
-                self.events.push(Ev::Enter(*construct));
-                let mut data = Vec::new();
-                let lo = self.eval(from, &mut data);
-                let hi = self.eval(to, &mut data);
-                self.emit_leaf(init, data);
-                let mut i = lo;
-                loop {
-                    self.emit_leaf(iter, Vec::new());
-                    self.vars[var.0 as usize] = i;
-                    if i >= hi {
-                        break;
-                    }
-                    self.exec_seq(body, bn);
-                    i += 1;
-                }
-            }
-            _ => unreachable!("site tree out of sync with program body"),
+            let site = &self.sites[id as usize];
+            let access = self.trace.get(self.next_access);
+            assert!(
+                access.is_some_and(|a| a.kind == site.kind && site.loc.contains(a.addr.0)),
+                "site walk out of sync: access {} is {access:?}, not site {id} ({:?} at {})",
+                self.next_access,
+                site.kind,
+                site.loc
+            );
+            self.events.push(Ev::Acc {
+                site: id,
+                addr: self.trace[self.next_access].addr.0,
+            });
+            self.next_access += 1;
         }
     }
-}
 
-/// The interpreter's binary-operator semantics; `None` on division by zero.
-fn bin_op(op: crate::expr::BinOp, a: i64, b: i64) -> Option<i64> {
-    use crate::expr::BinOp;
-    Some(match op {
-        BinOp::Add => a.wrapping_add(b),
-        BinOp::Sub => a.wrapping_sub(b),
-        BinOp::Mul => a.wrapping_mul(b),
-        BinOp::Div => {
-            if b == 0 {
-                return None;
-            }
-            a.wrapping_div(b)
+    fn seq(&mut self, nodes: &[SiteNode]) {
+        for n in nodes {
+            self.node(n);
         }
-        BinOp::Rem => {
-            if b == 0 {
-                return None;
+    }
+
+    fn node(&mut self, n: &SiteNode) {
+        match n {
+            SiteNode::Leaf(ids) => self.emit(ids),
+            SiteNode::If {
+                construct,
+                header,
+                then_branch,
+                else_branch,
+            } => {
+                self.emit(header);
+                let taken = match self.decisions.get(self.next_decision) {
+                    Some(&Decision::Branch { id, taken }) if id == *construct => taken,
+                    next => panic!("site walk out of sync: if {construct} meets {next:?}"),
+                };
+                self.next_decision += 1;
+                self.seq(if taken { then_branch } else { else_branch });
             }
-            a.wrapping_rem(b)
+            SiteNode::While {
+                construct,
+                header,
+                body,
+            } => self.loop_node(*construct, &[], header, body),
+            SiteNode::For {
+                construct,
+                init,
+                iter,
+                body,
+            } => self.loop_node(*construct, init, iter, body),
         }
-        BinOp::And => a & b,
-        BinOp::Or => a | b,
-        BinOp::Xor => a ^ b,
-        BinOp::Shl => a.wrapping_shl(b as u32 & 63),
-        BinOp::Shr => a.wrapping_shr(b as u32 & 63),
-        BinOp::Lt => i64::from(a < b),
-        BinOp::Le => i64::from(a <= b),
-        BinOp::Gt => i64::from(a > b),
-        BinOp::Ge => i64::from(a >= b),
-        BinOp::Eq => i64::from(a == b),
-        BinOp::Ne => i64::from(a != b),
-    })
+    }
+
+    fn loop_node(&mut self, c: u32, init: &[u32], header: &[u32], body: &[SiteNode]) {
+        self.events.push(Ev::Enter(c));
+        self.emit(init);
+        for iters in 0.. {
+            self.emit(header);
+            if self.decisions.get(self.next_decision) == Some(&Decision::Loop { id: c, iters }) {
+                self.next_decision += 1;
+                return;
+            }
+            self.seq(body);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1251,8 +1116,10 @@ fn bin_op(op: crate::expr::BinOp, a: i64, b: i64) -> Option<i64> {
 /// # Panics
 ///
 /// Panics if `cls` was not produced from this `program` (site tables
-/// differ), or if the internal interpreter mirror diverges from the real
-/// trace — both are bugs, not data-dependent conditions.
+/// differ), or if a run's trace does not follow the site tree along the
+/// run's own path record: a walk of a different length, an access of
+/// another kind or outside its site's static location, or a decision left
+/// unconsumed. Both are bugs, not data-dependent conditions.
 pub fn validate_classification(
     program: &Program,
     inputs: &[Inputs],
@@ -1281,28 +1148,13 @@ pub fn validate_classification(
 
     for (run_idx, inp) in inputs.iter().enumerate() {
         let run = execute(program, inp)?;
-        let mut m = Mirror::new(program, &table.sites, inp);
-        m.exec_seq(program.body(), &table.tree);
-        let derived: Vec<Access> = m
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                Ev::Enter(_) => None,
-                Ev::Acc { site, addr } => Some(match table.sites[*site as usize].kind {
-                    AccessKind::InstrFetch => Access::fetch(*addr),
-                    AccessKind::Read => Access::read(*addr),
-                    AccessKind::Write => Access::write(*addr),
-                }),
-            })
-            .collect();
-        let real: Vec<Access> = run.trace.iter().copied().collect();
-        assert_eq!(derived, real, "site mirror diverged from interpreter trace");
+        let events = SiteWalk::run(&table, &run);
 
         il1.flush();
         dl1.flush();
         let (mut hits, mut misses) = ([0u64; 2], [0u64; 2]);
         let (mut ah_acc, mut am_acc) = ([0u64; 2], [0u64; 2]);
-        for ev in &m.events {
+        for ev in &events {
             match ev {
                 Ev::Enter(c) => {
                     next_entry += 1;
@@ -1615,8 +1467,8 @@ mod tests {
         assert!(d.is_empty(), "{d}");
     }
 
-    /// Touch reads wrap their index into the array; the mirror and site
-    /// model must agree with the interpreter on that too.
+    /// Touch reads wrap their index into the array; every wrapped read
+    /// must still land inside the touch site's static range.
     #[test]
     fn touch_and_nop_sites_validate_clean() {
         let mut b = ProgramBuilder::new("t");
@@ -1644,6 +1496,117 @@ mod tests {
         let inputs = [Inputs::new(), Inputs::new().with_var(x, 100)];
         let d = validate_classification(&p, &inputs, &cls).unwrap();
         assert!(d.is_empty(), "{d}");
+    }
+
+    /// `while x > 0 { x = x - 1 }`: a loop body that records no decision,
+    /// so every header check sees the loop's own exit decision next.
+    fn countdown_program() -> (Program, crate::Var) {
+        let mut b = ProgramBuilder::new("countdown");
+        let x = b.var("x");
+        b.push(Stmt::while_(
+            Expr::var(x).gt(Expr::c(0)),
+            8,
+            vec![Stmt::Assign(x, Expr::var(x).sub(Expr::c(1)))],
+        ));
+        (b.build().unwrap(), x)
+    }
+
+    /// Every loop and branch shape the path record encodes walks in sync
+    /// with the run and validates clean.
+    #[test]
+    fn site_walk_follows_every_loop_shape() {
+        let (countdown, x) = countdown_program();
+
+        // Inner trip count j < i equals the outer index, so the outer header
+        // meets the inner loop's `Loop { iters }` equal to its own count.
+        let mut b = ProgramBuilder::new("triangle");
+        let (i, j, s) = (b.var("i"), b.var("j"), b.var("s"));
+        b.push(Stmt::for_(
+            i,
+            Expr::c(0),
+            Expr::c(4),
+            4,
+            vec![Stmt::for_(
+                j,
+                Expr::c(0),
+                Expr::var(i),
+                4,
+                vec![Stmt::Assign(s, Expr::var(s).add(Expr::c(1)))],
+            )],
+        ));
+        let triangle = b.build().unwrap();
+
+        let mut b = ProgramBuilder::new("zero-trip");
+        let (i, y) = (b.var("i"), b.var("y"));
+        b.push(Stmt::for_(
+            i,
+            Expr::c(5),
+            Expr::c(2),
+            4,
+            vec![Stmt::Assign(y, Expr::c(1))],
+        ));
+        b.push(Stmt::while_(
+            Expr::var(y).gt(Expr::c(0)),
+            4,
+            vec![Stmt::if_(
+                Expr::var(y).gt(Expr::c(2)),
+                vec![Stmt::Assign(y, Expr::c(0))],
+                vec![Stmt::Assign(y, Expr::var(y).sub(Expr::c(1)))],
+            )],
+        ));
+        b.push(Stmt::Assign(y, Expr::c(7)));
+        let zero_trip = b.build().unwrap();
+
+        let mut b = ProgramBuilder::new("if-in-loop");
+        let (i, z) = (b.var("i"), b.var("z"));
+        let a = b.array("a", 4);
+        b.push(Stmt::for_(
+            i,
+            Expr::c(0),
+            Expr::c(4),
+            4,
+            vec![Stmt::if_(
+                Expr::var(i).rem(Expr::c(2)).ne(Expr::c(0)),
+                vec![Stmt::Assign(z, Expr::load(a, Expr::var(i)))],
+                vec![Stmt::store(a, Expr::var(i), Expr::var(z))],
+            )],
+        ));
+        let if_in_loop = b.build().unwrap();
+
+        let cases = [
+            (
+                "while body without decisions",
+                &countdown,
+                vec![Inputs::new().with_var(x, 5), Inputs::new().with_var(x, 1)],
+            ),
+            (
+                "inner trip count = outer index",
+                &triangle,
+                vec![Inputs::new()],
+            ),
+            ("zero-trip for and while", &zero_trip, vec![Inputs::new()]),
+            ("if inside a loop", &if_in_loop, vec![Inputs::new()]),
+        ];
+        for (name, p, inputs) in cases {
+            let cls = classify(p, l1(), l1());
+            let d = validate_classification(p, &inputs, &cls).unwrap();
+            assert!(d.is_empty(), "{name}: {d}");
+        }
+    }
+
+    /// The walk checks the pairing of trace and path record, it does not
+    /// trust it: one run's trace along another run's path falls out of sync.
+    #[test]
+    #[should_panic(expected = "site walk out of sync")]
+    fn site_walk_rejects_another_runs_path() {
+        let (p, x) = countdown_program();
+        let short = execute(&p, &Inputs::new().with_var(x, 3)).unwrap();
+        let long = execute(&p, &Inputs::new().with_var(x, 5)).unwrap();
+        let mixed = Run {
+            path: long.path,
+            ..short
+        };
+        SiteWalk::run(&build_sites(&p), &mixed);
     }
 
     #[test]

@@ -47,6 +47,34 @@ pub enum BinOp {
     Ne,
 }
 
+impl BinOp {
+    /// The IR's semantics of `a op b`: the one definition the interpreter
+    /// and the constant evaluator share. `None` only for a zero divisor of
+    /// `Div` or `Rem`; `i64::MIN / -1` wraps like every other overflow.
+    #[must_use]
+    pub fn apply(self, a: i64, b: i64) -> Option<i64> {
+        Some(match self {
+            BinOp::Add => a.wrapping_add(b),
+            BinOp::Sub => a.wrapping_sub(b),
+            BinOp::Mul => a.wrapping_mul(b),
+            BinOp::Div | BinOp::Rem if b == 0 => return None,
+            BinOp::Div => a.wrapping_div(b),
+            BinOp::Rem => a.wrapping_rem(b),
+            BinOp::And => a & b,
+            BinOp::Or => a | b,
+            BinOp::Xor => a ^ b,
+            BinOp::Shl => a.wrapping_shl(b as u32 & 63),
+            BinOp::Shr => a.wrapping_shr(b as u32 & 63),
+            BinOp::Lt => i64::from(a < b),
+            BinOp::Le => i64::from(a <= b),
+            BinOp::Gt => i64::from(a > b),
+            BinOp::Ge => i64::from(a >= b),
+            BinOp::Eq => i64::from(a == b),
+            BinOp::Ne => i64::from(a != b),
+        })
+    }
+}
+
 /// Unary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnOp {
@@ -56,6 +84,18 @@ pub enum UnOp {
     Not,
     /// Logical not: `0 → 1`, non-zero → `0`.
     LNot,
+}
+
+impl UnOp {
+    /// The IR's semantics of `op v` (total: negation wraps).
+    #[must_use]
+    pub fn apply(self, v: i64) -> i64 {
+        match self {
+            UnOp::Neg => v.wrapping_neg(),
+            UnOp::Not => !v,
+            UnOp::LNot => i64::from(v == 0),
+        }
+    }
 }
 
 /// An expression tree.
@@ -342,6 +382,25 @@ mod tests {
         let mut order = Vec::new();
         e.for_each_load(&mut |arr, _| order.push(arr));
         assert_eq!(order, vec![b, a, a]);
+    }
+
+    #[test]
+    fn operator_semantics() {
+        assert_eq!(BinOp::Div.apply(7, 0), None);
+        assert_eq!(BinOp::Rem.apply(7, 0), None);
+        assert_eq!(BinOp::Div.apply(-7, 2), Some(-3), "division truncates");
+        assert_eq!(BinOp::Rem.apply(-7, 2), Some(-1));
+        assert_eq!(BinOp::Div.apply(i64::MIN, -1), Some(i64::MIN), "wraps");
+        assert_eq!(BinOp::Rem.apply(i64::MIN, -1), Some(0));
+        assert_eq!(BinOp::Add.apply(i64::MAX, 1), Some(i64::MIN));
+        assert_eq!(BinOp::Shl.apply(1, 65), Some(2), "amount masked to 0-63");
+        assert_eq!(BinOp::Shr.apply(-8, 1), Some(-4), "arithmetic shift");
+        assert_eq!(BinOp::Le.apply(3, 3), Some(1));
+        assert_eq!(BinOp::Ne.apply(3, 3), Some(0));
+        assert_eq!(UnOp::Neg.apply(i64::MIN), i64::MIN);
+        assert_eq!(UnOp::Not.apply(0), -1);
+        assert_eq!(UnOp::LNot.apply(5), 0);
+        assert_eq!(UnOp::LNot.apply(0), 1);
     }
 
     #[test]

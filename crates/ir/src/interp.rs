@@ -16,7 +16,7 @@ use std::fmt;
 
 use mbcr_trace::{Access, Trace};
 
-use crate::expr::{BinOp, Expr, UnOp};
+use crate::expr::Expr;
 use crate::layout::{layout_program, InstrSpan, LayoutNode};
 use crate::paths::{Decision, PathRecord};
 use crate::program::{ArrayId, Program, Var};
@@ -341,45 +341,11 @@ impl Interp<'_> {
                 self.trace.push(Access::read(decl.elem_addr(i)));
                 Ok(self.state.arrays[a.0 as usize][i as usize])
             }
-            Expr::Un(op, e) => {
-                let v = self.eval(e, cur)?;
-                Ok(match op {
-                    UnOp::Neg => v.wrapping_neg(),
-                    UnOp::Not => !v,
-                    UnOp::LNot => i64::from(v == 0),
-                })
-            }
+            Expr::Un(op, e) => Ok(op.apply(self.eval(e, cur)?)),
             Expr::Bin(op, l, r) => {
                 let a = self.eval(l, cur)?;
                 let b = self.eval(r, cur)?;
-                Ok(match op {
-                    BinOp::Add => a.wrapping_add(b),
-                    BinOp::Sub => a.wrapping_sub(b),
-                    BinOp::Mul => a.wrapping_mul(b),
-                    BinOp::Div => {
-                        if b == 0 {
-                            return Err(InterpError::DivByZero);
-                        }
-                        a.wrapping_div(b)
-                    }
-                    BinOp::Rem => {
-                        if b == 0 {
-                            return Err(InterpError::DivByZero);
-                        }
-                        a.wrapping_rem(b)
-                    }
-                    BinOp::And => a & b,
-                    BinOp::Or => a | b,
-                    BinOp::Xor => a ^ b,
-                    BinOp::Shl => a.wrapping_shl(b as u32 & 63),
-                    BinOp::Shr => a.wrapping_shr(b as u32 & 63),
-                    BinOp::Lt => i64::from(a < b),
-                    BinOp::Le => i64::from(a <= b),
-                    BinOp::Gt => i64::from(a > b),
-                    BinOp::Ge => i64::from(a >= b),
-                    BinOp::Eq => i64::from(a == b),
-                    BinOp::Ne => i64::from(a != b),
-                })
+                op.apply(a, b).ok_or(InterpError::DivByZero)
             }
         }
     }
@@ -400,48 +366,10 @@ impl Interp<'_> {
                     arr[i.rem_euclid(arr.len() as i64) as usize]
                 }
             }
-            Expr::Un(op, e) => {
-                let v = self.eval_silent(e);
-                match op {
-                    UnOp::Neg => v.wrapping_neg(),
-                    UnOp::Not => !v,
-                    UnOp::LNot => i64::from(v == 0),
-                }
-            }
-            Expr::Bin(op, l, r) => {
-                let a = self.eval_silent(l);
-                let b = self.eval_silent(r);
-                match op {
-                    BinOp::Add => a.wrapping_add(b),
-                    BinOp::Sub => a.wrapping_sub(b),
-                    BinOp::Mul => a.wrapping_mul(b),
-                    BinOp::Div => {
-                        if b == 0 {
-                            0
-                        } else {
-                            a.wrapping_div(b)
-                        }
-                    }
-                    BinOp::Rem => {
-                        if b == 0 {
-                            0
-                        } else {
-                            a.wrapping_rem(b)
-                        }
-                    }
-                    BinOp::And => a & b,
-                    BinOp::Or => a | b,
-                    BinOp::Xor => a ^ b,
-                    BinOp::Shl => a.wrapping_shl(b as u32 & 63),
-                    BinOp::Shr => a.wrapping_shr(b as u32 & 63),
-                    BinOp::Lt => i64::from(a < b),
-                    BinOp::Le => i64::from(a <= b),
-                    BinOp::Gt => i64::from(a > b),
-                    BinOp::Ge => i64::from(a >= b),
-                    BinOp::Eq => i64::from(a == b),
-                    BinOp::Ne => i64::from(a != b),
-                }
-            }
+            Expr::Un(op, e) => op.apply(self.eval_silent(e)),
+            Expr::Bin(op, l, r) => op
+                .apply(self.eval_silent(l), self.eval_silent(r))
+                .unwrap_or(0),
         }
     }
 

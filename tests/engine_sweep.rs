@@ -8,8 +8,9 @@ use std::path::{Path, PathBuf};
 
 use mbcr_engine::{
     expand, run_sweep, AnalysisKind, ArtifactStore, GeometrySpec, InputSelection, JobStatus,
-    Registry, RunOptions, StageKind, SweepSpec,
+    JobSummary, Registry, RunOptions, StageKind, SweepSpec,
 };
+use mbcr_json::Serialize;
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("mbcr-engine-test-{tag}-{}", std::process::id()));
@@ -161,6 +162,48 @@ fn cold_sweep_writes_artifacts_and_warm_rerun_skips() {
         forced.rows, cold.rows,
         "forced re-run must be deterministic"
     );
+
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A warm re-run reports what the cold run computed: every job summary
+/// (original, pub_tac and multipath nodes) serializes to the same manifest
+/// entry, apart from `campaign_resumed`, which only an executing campaign
+/// sets.
+#[test]
+fn warm_rerun_reproduces_every_job_summary() {
+    let registry = Registry::malardalen();
+    let spec = SweepSpec::new("warm-summaries")
+        .benchmarks(["bs"])
+        .inputs(InputSelection::Named(vec!["v1".into(), "v3".into()]))
+        .seeds([11])
+        .analyses([
+            AnalysisKind::Original,
+            AnalysisKind::PubTac,
+            AnalysisKind::Multipath,
+        ]);
+    let dir = tmp_dir("warm-summaries");
+    let store = ArtifactStore::open(&dir).expect("open store");
+    let opts = RunOptions {
+        threads: 2,
+        force: false,
+        checkpoint_interval: None,
+        ..RunOptions::default()
+    };
+
+    let cold = run_sweep(&spec, &registry, &store, &opts).expect("cold sweep");
+    let warm = run_sweep(&spec, &registry, &store, &opts).expect("warm sweep");
+    assert_eq!((cold.failed, warm.executed), (0, 0));
+    assert_eq!(cold.records.len(), warm.records.len());
+    for (c, w) in cold.records.iter().zip(&warm.records) {
+        assert_eq!(c.key, w.key, "records in expansion order");
+        let entry = |summary: &Option<JobSummary>| {
+            let mut summary = summary.clone().expect("every job has a summary");
+            summary.campaign_resumed = None;
+            Serialize::to_json(&summary).to_compact()
+        };
+        assert_eq!(entry(&c.summary), entry(&w.summary), "{}", c.label);
+    }
 
     let _ = fs::remove_dir_all(&dir);
 }
