@@ -51,7 +51,7 @@ mod sweep;
 
 pub use job::{JobGraph, JobKind, JobSpec, JobSummary, SCHEMA};
 pub use mbcr::stage::{StageKind, StageStatus, StageStore};
-pub use pool::{execute_dag, execute_dag_prioritized};
+pub use pool::execute_dag;
 pub use registry::Registry;
 pub use sched::JobScheduler;
 pub use service::{
@@ -59,9 +59,7 @@ pub use service::{
     SweepRegistry, SweepSnapshot, SweepState, SweepStatus,
 };
 pub use spec::{AnalysisKind, AnalysisKnobs, GeometrySpec, InputSelection, SweepSpec};
-pub use store::{
-    ArtifactStore, CampaignProgress, MergeStats, SampleLog, SampleLogContents, Table2Row,
-};
+pub use store::{ArtifactStore, CampaignProgress, SampleLog, SampleLogContents, Table2Row};
 pub use sweep::{
     aggregate_rows, execute_combine, execute_stage, expand, finalize_sweep, render_rows, run_sweep,
     JobRecord, JobStatus, RunOptions, StageOutcome, SweepOutcome, SweepPlan,

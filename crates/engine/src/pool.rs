@@ -35,50 +35,6 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    execute_dag_inner(deps, threads, None, run)
-}
-
-/// [`execute_dag`] with a claim-ordering hint: among *ready* jobs, workers
-/// lease the one with the highest `priority[i]` (ties broken towards the
-/// oldest, so a constant table degenerates to plain [`execute_dag`]).
-/// Dependency edges still gate readiness, and results stay in submission
-/// order — the priorities reorder wall-clock execution only, never the
-/// output.
-///
-/// # Panics
-///
-/// Panics on malformed graphs (see [`execute_dag`]) or when
-/// `priority.len() != deps.len()`.
-pub fn execute_dag_prioritized<R, F>(
-    deps: &[Vec<usize>],
-    threads: usize,
-    priority: &[u64],
-    run: F,
-) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    assert_eq!(
-        priority.len(),
-        deps.len(),
-        "one priority per job, got {} for {} jobs",
-        priority.len(),
-        deps.len()
-    );
-    execute_dag_inner(deps, threads, Some(priority), run)
-}
-
-fn execute_dag_inner<R, F>(
-    deps: &[Vec<usize>],
-    threads: usize,
-    priority: Option<&[u64]>,
-    run: F,
-) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
     let n = deps.len();
     if n == 0 {
         return Vec::new();
@@ -105,11 +61,7 @@ where
                             wake.notify_all();
                             return;
                         }
-                        let claimed = match priority {
-                            Some(priority) => guard.claim_preferred(me as u64, |job| priority[job]),
-                            None => guard.claim(me as u64),
-                        };
-                        if let Some(job) = claimed {
+                        if let Some(job) = guard.claim(me as u64) {
                             break job;
                         }
                         // Everything runnable is leased to siblings; park
@@ -228,42 +180,6 @@ mod tests {
         });
         rx.recv_timeout(std::time::Duration::from_secs(120))
             .expect("execute_dag deadlocked under idle-worker pressure");
-    }
-
-    #[test]
-    fn prioritized_claims_highest_score_first() {
-        let deps: Vec<Vec<usize>> = vec![Vec::new(); 4];
-        let priority = vec![1, 9, 3, 9];
-        let order = Mutex::new(Vec::new());
-        let out = execute_dag_prioritized(&deps, 1, &priority, |i| {
-            order.lock().unwrap().push(i);
-            i * 10
-        });
-        // Highest score first; the 9-tie breaks towards the oldest.
-        assert_eq!(order.into_inner().unwrap(), vec![1, 3, 2, 0]);
-        // Results are still in submission order, not execution order.
-        assert_eq!(out, vec![0, 10, 20, 30]);
-    }
-
-    #[test]
-    fn prioritized_still_respects_dependencies() {
-        // Job 2 outranks everything but depends on low-priority job 0.
-        let deps = vec![vec![], vec![], vec![0]];
-        let priority = vec![0, 5, 100];
-        let order = Mutex::new(Vec::new());
-        execute_dag_prioritized(&deps, 1, &priority, |i| {
-            order.lock().unwrap().push(i);
-        });
-        let order = order.into_inner().unwrap();
-        let position = |i: usize| order.iter().position(|&x| x == i).unwrap();
-        assert!(position(0) < position(2), "edges gate readiness");
-        assert_eq!(position(1), 0, "job 1 outranks job 0 among ready jobs");
-    }
-
-    #[test]
-    #[should_panic(expected = "one priority per job")]
-    fn prioritized_rejects_mismatched_table() {
-        execute_dag_prioritized(&[vec![], vec![]], 1, &[1], |_| ());
     }
 
     #[test]

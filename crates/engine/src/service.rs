@@ -447,7 +447,6 @@ impl SweepRegistry {
             force: opts.force,
             checkpoint_interval: opts.checkpoint_interval,
             batch_width: opts.batch_width,
-            prescreen: false,
         };
         let plan = Arc::new(SweepPlan::new(&spec, registry, &run)?);
         let mut sched = JobScheduler::new(&plan.graph.deps);

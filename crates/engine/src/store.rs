@@ -280,64 +280,6 @@ impl ArtifactStore {
         mbcr_json::parse(&text).ok()
     }
 
-    /// Merges another store's content-addressed artifacts into this one:
-    /// `stages/*.json` and `jobs/*.json` documents are copied byte-for-byte
-    /// when absent here (they are digest-/content-keyed, so an artifact
-    /// already present is by construction the same artifact), and
-    /// `*.samples.slog` chunk logs are extended with whatever valid run
-    /// suffix the other store holds beyond ours (idempotent, gap-free —
-    /// the [`SampleLog`] append rules). Run-level files (manifest, Table 2)
-    /// are *not* merged: they describe one run, not content.
-    ///
-    /// The operation is idempotent (`a.merge(b)` twice equals once) and —
-    /// under the content-addressing contract that equal names carry equal
-    /// content — order-independent: merging any permutation of stores
-    /// converges on the same artifact set.
-    ///
-    /// # Errors
-    ///
-    /// [`io::Error`] on filesystem failures; a missing source directory is
-    /// treated as empty, and stray files (`*.tmpN`, foreign names) are
-    /// skipped like every store scan does.
-    pub fn merge(&self, other: &ArtifactStore) -> io::Result<MergeStats> {
-        let mut stats = MergeStats::default();
-        for dir in ["stages", "jobs"] {
-            let entries = match fs::read_dir(other.root.join(dir)) {
-                Ok(entries) => entries,
-                Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
-                Err(e) => return Err(e),
-            };
-            let mut names: Vec<std::ffi::OsString> =
-                entries.flatten().map(|e| e.file_name()).collect();
-            names.sort();
-            for name in names {
-                let Some(name) = name.to_str() else { continue };
-                let from = other.root.join(dir).join(name);
-                let to = self.root.join(dir).join(name);
-                if let Some(stem) = name.strip_suffix(".samples.slog") {
-                    if !stem.bytes().all(|b| b.is_ascii_hexdigit()) {
-                        continue; // foreign stray
-                    }
-                    stats.appended_runs += merge_sample_log(&from, &to)?;
-                } else if let Some(stem) = name.strip_suffix(".json") {
-                    if !stem.bytes().all(|b| b.is_ascii_hexdigit()) {
-                        continue; // manifest copies, notes, strays
-                    }
-                    if to.is_file() {
-                        continue; // content-addressed: already identical
-                    }
-                    write_atomic(&to, &fs::read(&from)?)?;
-                    if dir == "stages" {
-                        stats.stage_artifacts += 1;
-                    } else {
-                        stats.job_artifacts += 1;
-                    }
-                }
-            }
-        }
-        Ok(stats)
-    }
-
     /// Writes the Table 2 CSV (the paper's layout, plus provenance
     /// columns).
     ///
@@ -394,54 +336,6 @@ impl StageStore for ArtifactStore {
     fn reset_samples(&self, digest: u64) -> io::Result<()> {
         SampleLog::at(self.stage_samples_path(digest)).reset()
     }
-}
-
-/// What [`ArtifactStore::merge`] brought over.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MergeStats {
-    /// Stage JSON artifacts copied (absent here, present there).
-    pub stage_artifacts: usize,
-    /// Job JSON artifacts copied.
-    pub job_artifacts: usize,
-    /// Sample runs appended across all chunk logs.
-    pub appended_runs: u64,
-}
-
-impl MergeStats {
-    /// Whether the merge changed nothing.
-    #[must_use]
-    pub fn is_noop(&self) -> bool {
-        *self == Self::default()
-    }
-}
-
-/// Extends the chunk log at `to` with the valid run suffix of the log at
-/// `from` beyond what `to` already holds; returns the appended run count.
-/// When `to` has no valid log at all and `from` is wholly valid, the
-/// source bytes are copied verbatim instead, preserving the original
-/// checkpoint-grid framing.
-fn merge_sample_log(from: &Path, to: &Path) -> io::Result<u64> {
-    let source = SampleLog::at(from);
-    let Some(contents) = source.load() else {
-        return Ok(0); // empty, torn-at-magic, or foreign: nothing valid
-    };
-    let have = SampleLog::at(to).load().map_or(0, |c| c.samples.len());
-    if have == 0 && !to.is_file() {
-        // Fast path: byte-preserving copy of the wholly-valid prefix.
-        let bytes = fs::read(from)?;
-        let valid = SampleLog::scan_bytes(&bytes, ScanDepth::MetaOnly).valid_bytes as usize;
-        write_atomic(to, &bytes[..valid.min(bytes.len())])?;
-        return Ok(contents.samples.len() as u64);
-    }
-    if have >= contents.samples.len() {
-        return Ok(0);
-    }
-    SampleLog::at(to).append(
-        0,
-        usize::try_from(contents.total).unwrap_or(usize::MAX),
-        &contents.samples,
-    )?;
-    Ok((contents.samples.len() - have) as u64)
 }
 
 /// Magic prefix of a sample chunk log.
@@ -1279,69 +1173,6 @@ mod tests {
             doc.to_pretty()
         );
         let _ = fs::remove_dir_all(store.root());
-    }
-
-    #[test]
-    fn merge_copies_absent_artifacts_and_extends_logs() {
-        let a = tmp_store("merge-a");
-        let b = tmp_store("merge-b");
-        // Disjoint stage artifacts, one shared digest, and a chunk log
-        // where b holds a longer prefix of the same content.
-        let doc = |v: u64| Json::Obj(vec![("v".to_string(), Json::UInt(v))]);
-        a.save_stage(0x1, &doc(1)).unwrap();
-        a.save_stage(0x3, &doc(3)).unwrap();
-        b.save_stage(0x2, &doc(2)).unwrap();
-        b.save_stage(0x3, &doc(3)).unwrap();
-        let runs: Vec<u64> = (0..96).collect();
-        a.append_samples(0xAB, 0, 96, &runs[..32]).unwrap();
-        b.append_samples(0xAB, 0, 96, &runs).unwrap();
-        b.write_job(
-            "deadbeef01",
-            &demo_summary("deadbeef01"),
-            doc(9),
-            Some(&[5, 6]),
-        )
-        .unwrap();
-
-        let stats = a.merge(&b).expect("merge");
-        assert_eq!(stats.stage_artifacts, 1, "only the absent digest copies");
-        assert_eq!(stats.job_artifacts, 1);
-        assert_eq!(stats.appended_runs, 64 + 2, "stage log tail + job log");
-        for d in [0x1u64, 0x2, 0x3] {
-            assert_eq!(a.load_stage(d), Some(doc(d)));
-        }
-        assert_eq!(StageStore::load_samples(&a, 0xAB), Some(runs.clone()));
-        assert_eq!(a.load_job_sample("deadbeef01"), Some(vec![5, 6]));
-        assert!(a.has_job_result("deadbeef01", Some(2)));
-
-        // Idempotent: a second merge changes nothing.
-        let again = a.merge(&b).expect("re-merge");
-        assert!(again.is_noop(), "second merge must be a no-op: {again:?}");
-        let _ = fs::remove_dir_all(a.root());
-        let _ = fs::remove_dir_all(b.root());
-    }
-
-    #[test]
-    fn merge_skips_strays_and_preserves_log_bytes_on_fresh_copy() {
-        let a = tmp_store("merge-strays-a");
-        let b = tmp_store("merge-strays-b");
-        b.append_samples(0xCD, 0, 64, &(0..64u64).collect::<Vec<_>>())
-            .unwrap();
-        let source_bytes = fs::read(b.stage_samples_path(0xCD)).unwrap();
-        fs::write(b.root().join("stages").join("0000cd.tmp3"), b"junk").unwrap();
-        fs::write(b.root().join("stages").join("notes.json"), b"{}").unwrap();
-        fs::write(b.root().join("jobs").join("zz.samples.slog"), b"nope").unwrap();
-        let stats = a.merge(&b).expect("merge");
-        assert_eq!(stats.stage_artifacts + stats.job_artifacts, 0);
-        assert_eq!(
-            fs::read(a.stage_samples_path(0xCD)).unwrap(),
-            source_bytes,
-            "a fresh log copy must preserve the source framing bytes"
-        );
-        assert!(!a.root().join("stages").join("notes.json").exists());
-        assert!(!a.root().join("jobs").join("zz.samples.slog").exists());
-        let _ = fs::remove_dir_all(a.root());
-        let _ = fs::remove_dir_all(b.root());
     }
 
     #[test]

@@ -22,8 +22,8 @@ use mbcr_json::{Json, Serialize};
 use mbcr_malardalen::Benchmark;
 
 use crate::{
-    execute_dag, execute_dag_prioritized, AnalysisKind, ArtifactStore, EngineError, GeometrySpec,
-    InputSelection, JobGraph, JobKind, JobSpec, JobSummary, Registry, SweepSpec, Table2Row,
+    execute_dag, AnalysisKind, ArtifactStore, EngineError, GeometrySpec, InputSelection, JobGraph,
+    JobKind, JobSpec, JobSummary, Registry, SweepSpec, Table2Row,
 };
 
 /// Execution options orthogonal to the spec (they never affect results,
@@ -43,12 +43,6 @@ pub struct RunOptions {
     /// kernel nor the bit-identical samples, and is digest-neutral. `None`
     /// keeps the config default.
     pub batch_width: Option<usize>,
-    /// Order ready jobs by the static cache-analysis pre-screen: cells
-    /// whose access sites the abstract classification pins least (the
-    /// widest spread between static best- and worst-case miss bounds)
-    /// are simulated first. Pure scheduling — results are collected in
-    /// submission order, so run artifacts are byte-identical either way.
-    pub prescreen: bool,
 }
 
 /// Terminal state of one job.
@@ -536,12 +530,7 @@ pub fn run_sweep(
     // Completed summaries, readable by dependents while the pool runs.
     let slots: Vec<Mutex<Option<JobSummary>>> = (0..plan.len()).map(|_| Mutex::new(None)).collect();
 
-    let priority = if opts.prescreen {
-        Some(prescreen_priorities(&plan, registry)?)
-    } else {
-        None
-    };
-    let runner = |i: usize| {
+    let records = execute_dag(&plan.graph.deps, threads, |i: usize| {
         let job = &plan.graph.jobs[i];
         let key = &plan.keys[i];
         let record = |status, error, summary: Option<JobSummary>| JobRecord {
@@ -590,52 +579,9 @@ pub fn run_sweep(
             }
             Err(e) => record(JobStatus::Failed, Some(e.to_string()), None),
         }
-    };
-    let records = match &priority {
-        Some(priority) => execute_dag_prioritized(&plan.graph.deps, threads, priority, runner),
-        None => execute_dag(&plan.graph.deps, threads, runner),
-    };
+    });
 
     finalize_sweep(spec, records, registry, store, start.elapsed())
-}
-
-/// The static pre-screen's claim priorities: per job, the fraction of its
-/// benchmark × geometry cell's access sites the abstract classification
-/// leaves *not-classified* (in parts per million, summed over both L1s) —
-/// the spread between the cell's static best- and worst-case miss bounds.
-/// Least-constrained cells score highest and are simulated first, so the
-/// measurements the static analysis says least about arrive earliest.
-/// Combine nodes score zero (they are `min`s over numbers in hand).
-fn prescreen_priorities(plan: &SweepPlan, registry: &Registry) -> Result<Vec<u64>, EngineError> {
-    let mut scores: HashMap<(String, String), u64> = HashMap::new();
-    let mut out = Vec::with_capacity(plan.graph.jobs.len());
-    for job in &plan.graph.jobs {
-        let score = match &job.kind {
-            JobKind::MultipathCombine => 0,
-            JobKind::Stage { .. } => {
-                let key = (job.benchmark.clone(), job.geometry.label());
-                if let Some(&score) = scores.get(&key) {
-                    score
-                } else {
-                    let benchmark = registry
-                        .get(&job.benchmark)
-                        .ok_or_else(|| EngineError::UnknownBenchmark(job.benchmark.clone()))?;
-                    let g = job.geometry.geometry()?;
-                    // No store: the pre-screen must not write artifacts a
-                    // hook-less run would lack.
-                    let rollup = cache_class(&benchmark.program, g, g, None)
-                        .map_err(|e| EngineError::Analysis(format!("{key:?}: cache class: {e}")))?;
-                    let sites = rollup.il1.sites + rollup.dl1.sites;
-                    let nc = rollup.il1.not_classified + rollup.dl1.not_classified;
-                    let score = (nc as u64) * 1_000_000 / (sites.max(1) as u64);
-                    scores.insert(key, score);
-                    score
-                }
-            }
-        };
-        out.push(score);
-    }
-    Ok(out)
 }
 
 /// Computes the manifest's static-path-coverage block: one entry per swept
@@ -1283,38 +1229,6 @@ mod tests {
             "terminal table shows the raw name"
         );
         assert!(row.csv_line().starts_with("\"ecu,task\","), "CSV quotes it");
-    }
-
-    #[test]
-    fn prescreen_keeps_run_artifacts_byte_identical() {
-        let registry = Registry::malardalen();
-        let mut spec = SweepSpec::new("prescreen-identity")
-            .benchmarks(["bs"])
-            .seeds([1])
-            .analyses([AnalysisKind::PubTac]);
-        spec.max_campaign_runs = Some(600);
-        let run = |prescreen: bool, tag: &str| {
-            let dir =
-                std::env::temp_dir().join(format!("mbcr-prescreen-{tag}-{}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            let store = ArtifactStore::open(&dir).expect("open store");
-            let opts = RunOptions {
-                prescreen,
-                ..RunOptions::default()
-            };
-            let outcome = run_sweep(&spec, &registry, &store, &opts).expect("sweep");
-            assert_eq!(outcome.failed, 0);
-            let manifest = std::fs::read(store.manifest_path()).expect("manifest");
-            let table = std::fs::read(store.table2_path()).expect("table2");
-            let _ = std::fs::remove_dir_all(&dir);
-            (manifest, table)
-        };
-        let off = run(false, "off");
-        let on = run(true, "on");
-        assert_eq!(
-            off, on,
-            "the pre-screen ordering hook must not change run artifacts"
-        );
     }
 
     #[test]

@@ -35,7 +35,7 @@
 
 use std::fmt;
 
-use crate::analysis::const_eval;
+use crate::expr::const_eval;
 use crate::layout::INSTRS_PER_LINE;
 use crate::paths::{Decision, PathRecord};
 use crate::program::Program;

@@ -71,8 +71,7 @@ use std::fmt;
 use mbcr_cache::{Cache, CacheGeometry, PlacementPolicy, ReplacementPolicy};
 use mbcr_trace::{Access, AccessKind, Address};
 
-use crate::analysis::const_eval;
-use crate::expr::Expr;
+use crate::expr::{const_eval, Expr};
 use crate::interp::{execute, Inputs, InterpError, Run};
 use crate::layout::{layout_program, InstrSpan, LayoutNode};
 use crate::paths::Decision;

@@ -98,6 +98,22 @@ impl UnOp {
     }
 }
 
+/// Evaluates a constant expression, if it is one.
+///
+/// Variables and loads are unknown (`None`); division/remainder by a
+/// constant zero is `None` too (the interpreter would fault). The operators
+/// are the interpreter's own ([`BinOp::apply`], [`UnOp::apply`]), so a
+/// `Some` result is the value every run computes.
+#[must_use]
+pub fn const_eval(e: &Expr) -> Option<i64> {
+    match e {
+        Expr::Const(v) => Some(*v),
+        Expr::Var(_) | Expr::Load(..) => None,
+        Expr::Un(op, e) => Some(op.apply(const_eval(e)?)),
+        Expr::Bin(op, l, r) => op.apply(const_eval(l)?, const_eval(r)?),
+    }
+}
+
 /// An expression tree.
 ///
 /// Expressions are pure except that evaluating an [`Expr::Load`] emits a data
@@ -401,6 +417,18 @@ mod tests {
         assert_eq!(UnOp::Not.apply(0), -1);
         assert_eq!(UnOp::LNot.apply(5), 0);
         assert_eq!(UnOp::LNot.apply(0), 1);
+    }
+
+    #[test]
+    fn const_eval_mirrors_interpreter() {
+        assert_eq!(
+            const_eval(&Expr::c(2).add(Expr::c(3)).mul(Expr::c(4))),
+            Some(20)
+        );
+        assert_eq!(const_eval(&Expr::c(7).div(Expr::c(0))), None);
+        assert_eq!(const_eval(&Expr::c(1).lt(Expr::c(2))), Some(1));
+        assert_eq!(const_eval(&Expr::var(Var(0))), None);
+        assert_eq!(const_eval(&Expr::c(5).neg().add(Expr::c(5))), Some(0));
     }
 
     #[test]

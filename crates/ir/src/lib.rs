@@ -49,33 +49,25 @@
 //! # Ok::<(), mbcr_ir::ProgramError>(())
 //! ```
 
-mod analysis;
 mod blpath;
 mod cachean;
-mod cfg;
 mod expr;
-mod fold;
 mod interp;
 mod layout;
-mod pass;
 mod paths;
 mod pretty;
 mod program;
 mod stmt;
 mod verify;
 
-pub use analysis::{const_eval, dominators, reverse_postorder, Analysis, NaturalLoop};
 pub use blpath::{PathError, PathSignature, PathSpace, StaticPath};
 pub use cachean::{
     classify, validate_classification, AccessSite, CacheClassification, Classification,
     ClassifiedSite, Rollup, RollupSide, Scope, SiteLoc,
 };
-pub use cfg::{Block, BlockId, Cfg, Terminator};
-pub use expr::{BinOp, Expr, UnOp};
-pub use fold::{fold_expr, ConstFold};
+pub use expr::{const_eval, BinOp, Expr, UnOp};
 pub use interp::{execute, execute_with, ExecState, Inputs, InterpConfig, InterpError, Run};
 pub use layout::{layout_program, InstrSpan, Layout, LayoutNode, CODE_ALIGN, INSTRS_PER_LINE};
-pub use pass::{fnv1a, Pass, Pipeline, FNV_OFFSET};
 pub use paths::{Decision, PathRecord};
 pub use pretty::pretty_print;
 pub use program::{

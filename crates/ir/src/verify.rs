@@ -6,7 +6,7 @@
 //! functionally-innocuous statements inserted. Until now that promise was
 //! enforced only by a `debug_assert!` inside the transform itself; this
 //! module re-checks it on *any* program, so `mbcr lint` can catch a
-//! corrupted artifact, a hand-edited benchmark, or a buggy pass.
+//! corrupted artifact, a hand-edited benchmark, or a buggy transform.
 //!
 //! Checks and their diagnostic codes:
 //!
@@ -17,7 +17,7 @@
 //! | `PUB003` | a transformed program only *inserts innocuous* statements    |
 //! | `PUB004` | loop bounds are consistent (const `for` span ≤ `max_iter`; unchanged across the transform) |
 //! | `PUB005` | touch references stay inside their array                     |
-//! | `IR001`  | the program fails structural validation                      |
+//! | `IR001`  | the transformed program fails program validation             |
 //!
 //! The `CCA00x` codes are emitted by the cache analysis' simulator
 //! cross-validation ([`crate::validate_classification`]) rather than by the
@@ -39,8 +39,7 @@
 
 use std::fmt;
 
-use crate::analysis::const_eval;
-use crate::expr::Expr;
+use crate::expr::{const_eval, Expr};
 use crate::program::{ArrayId, Program};
 use crate::stmt::Stmt;
 
@@ -57,7 +56,8 @@ pub enum DiagCode {
     Pub004,
     /// Touch reference outside its array.
     Pub005,
-    /// The program fails structural validation.
+    /// The transformed program fails program validation
+    /// ([`crate::ProgramError`]).
     InvalidProgram,
     /// A simulated run missed on an access the must-analysis proved hit.
     Cca001,

@@ -12,8 +12,7 @@
 
 use mbcr_cache::CacheGeometry;
 use mbcr_ir::{
-    classify, execute, validate_classification, ConstFold, Expr, Inputs, Pass, Program,
-    ProgramBuilder, Stmt, Var,
+    classify, validate_classification, Expr, Inputs, Program, ProgramBuilder, Stmt, Var,
 };
 use proptest::prelude::*;
 
@@ -177,32 +176,6 @@ proptest! {
         prop_assert!(
             diags.is_empty(),
             "soundness findings at il1 {il1} / dl1 {dl1} (seed {seed:#x}): {diags}"
-        );
-    }
-
-    /// Constant folding composes with the classifier: a folded program
-    /// runs identically (state + data trace) and classifies just as
-    /// soundly. The verify gate may legitimately reject a fold on random
-    /// (unbalanced) programs — only emitted programs are checked.
-    #[test]
-    fn fold_then_classify_stays_sound(seed in any::<u64>(),) {
-        let (program, inputs) = gen_program(seed);
-        let Ok(folded) = ConstFold.run(&program) else { return Ok(()); };
-        for inp in &inputs {
-            let before = execute(&program, inp).expect("original runs");
-            let after = execute(&folded, inp).expect("folded runs");
-            prop_assert_eq!(&before.state, &after.state);
-            prop_assert_eq!(&before.path, &after.path);
-            let data = |r: &mbcr_ir::Run| -> Vec<_> { r.trace.data_accesses().copied().collect() };
-            prop_assert_eq!(data(&before), data(&after));
-        }
-        let mut g = Gen::new(seed ^ 0x0F01_D0CA);
-        let geometry = gen_geometry(&mut g);
-        let cls = classify(&folded, geometry, geometry);
-        let diags = validate_classification(&folded, &inputs, &cls).expect("folded runs");
-        prop_assert!(
-            diags.is_empty(),
-            "folded program became unsound at {geometry} (seed {seed:#x}): {diags}"
         );
     }
 }

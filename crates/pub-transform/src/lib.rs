@@ -73,13 +73,11 @@
 //! # Ok::<(), mbcr_ir::ProgramError>(())
 //! ```
 
-mod passes;
 pub mod shape;
 pub mod tokens;
 mod transform;
 pub mod widen;
 
-pub use passes::{pub_pipeline, ShapePass, TouchInsertPass, VerifyPass, WidenPass};
 pub use transform::{pub_transform, ConstructReport, PubConfig, PubReport, PubResult, WidenPolicy};
 
 use mbcr_trace::scs::scs_many;

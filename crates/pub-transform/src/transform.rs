@@ -149,51 +149,30 @@ pub struct PubResult {
 /// ```
 pub fn pub_transform(program: &Program, cfg: &PubConfig) -> Result<PubResult, ProgramError> {
     // Widening first: the inserted touches become ordinary footprint that
-    // the branch equalization then mirrors across siblings. These are the
-    // same two stages the pass pipeline (`pub_pipeline`) runs, so both
-    // entry points are bit-identical by construction.
-    let (widened, widened_touches) = widen_program(program, cfg.widen)?;
-    let mut result = equalize_program(&widened, cfg)?;
-    result.report.widened_touches = widened_touches;
-    Ok(result)
-}
-
-/// The widening stage in isolation: inserts full-array touches per
-/// [`WidenPolicy`], keeping name and variable declarations unchanged.
-/// Returns the widened program and the number of touches inserted.
-pub(crate) fn widen_program(
-    program: &Program,
-    policy: WidenPolicy,
-) -> Result<(Program, usize), ProgramError> {
-    match policy {
-        WidenPolicy::Off => Ok((program.clone(), 0)),
+    // the branch equalization then mirrors across siblings.
+    let (widened, widened_touches) = match cfg.widen {
+        WidenPolicy::Off => (program.clone(), 0),
         WidenPolicy::PathDependent => {
             let tainted = crate::widen::path_dependent_vars(program.body());
-            let (widened, inserted) =
+            let (body, inserted) =
                 crate::widen::widen_body(program.body(), &tainted, program.arrays());
-            Ok((program.with_body(widened)?, inserted))
+            (program.with_body(body)?, inserted)
         }
-    }
-}
-
-/// The equalization stage in isolation: branch equalization (plus loop
-/// padding when configured) on an *already widened* program, appending the
-/// scratch variables and the `_pub` name suffix. `cfg.widen` is ignored.
-pub(crate) fn equalize_program(
-    program: &Program,
-    cfg: &PubConfig,
-) -> Result<PubResult, ProgramError> {
+    };
     let mut ctx = Ctx {
         cfg: *cfg,
         next_construct: 0,
         fresh_counter: 0,
-        base_var_count: program.var_count() as u32,
+        base_var_count: widened.var_count() as u32,
         extra_vars: Vec::new(),
-        report: PubReport::default(),
+        report: PubReport {
+            widened_touches,
+            ..PubReport::default()
+        },
     };
-    let body = ctx.transform_stmts(program.body());
+    let body = ctx.transform_stmts(widened.body());
     let extra: Vec<&str> = ctx.extra_vars.iter().map(String::as_str).collect();
-    let (new_program, _) = program.extended(&extra, body)?;
+    let (new_program, _) = widened.extended(&extra, body)?;
     Ok(PubResult {
         program: new_program.renamed(format!("{}_pub", program.name())),
         report: ctx.report,

@@ -55,8 +55,8 @@ COMMANDS:
     paths <bench>       Static (Ball-Larus) path space of a benchmark: path
                         counts, per-path access signatures, and which paths
                         the shipped input vectors exercise
-    lint                Statically verify PUB soundness invariants (CFG
-                        structure, branch balance, innocuous-insertion
+    lint                Statically verify PUB soundness invariants (program
+                        validity, branch balance, innocuous-insertion
                         pairing); nonzero exit on any finding
     classify            Abstract-interpretation cache analysis: classify
                         every access site always-hit / always-miss /
@@ -125,9 +125,6 @@ SWEEP OPTIONS:
     --out DIR           Artifact store directory (default: mbcr-runs/<name>)
     --threads N         Worker threads (default: one per core)
     --force             Re-execute jobs even when cached artifacts exist
-    --prescreen         Order ready jobs by the static cache analysis
-                        (least-classified cells first); scheduling only —
-                        artifacts stay byte-identical either way
     --checkpoint-interval N  Checkpoint running campaigns every N runs
                         (0: only at completion; default: 10000). A killed
                         sweep resumes from its last campaign checkpoint.
@@ -888,7 +885,6 @@ fn sweep(args: &[String]) -> Result<ExitCode, EngineError> {
         None => 0,
     };
     let force = flags.switch("--force");
-    let prescreen = flags.switch("--prescreen");
     flags.reject_unknown()?;
     if let Some(extra) = flags.positionals().first() {
         return Err(EngineError::Spec(format!("unexpected argument '{extra}'")));
@@ -918,7 +914,6 @@ fn sweep(args: &[String]) -> Result<ExitCode, EngineError> {
         force,
         checkpoint_interval,
         batch_width,
-        prescreen,
     };
     let outcome = if shards > 0 {
         self_hosted_sharded_sweep(&spec, &registry, &store, &opts, shards)?
@@ -1028,7 +1023,6 @@ fn trace_cmd(args: &[String]) -> Result<ExitCode, EngineError> {
         force,
         checkpoint_interval: None,
         batch_width: None,
-        prescreen: false,
     };
     let outcome = run_sweep(&spec, &registry, &store, &opts)?;
     let (events, dropped) = mbcr_obs::finish_capture();

@@ -1,18 +1,18 @@
 //! The `mbcr lint` engine: static PUB-soundness checks over a benchmark.
 //!
-//! Linting a program runs the full static tool-chain the `mbcr-ir`
-//! analysis layer provides, in three layers:
+//! Linting a program runs two layers:
 //!
-//! 1. **Structure** — the program is lowered to a CFG and its dominator
-//!    tree / natural loops are cross-checked against the AST
-//!    ([`Analysis::validate`]); findings surface as `IR001`.
-//! 2. **Transform** — the PUB pipeline (`shape → widen → touch-insert →
-//!    verify`) runs with the paper configuration; a pipeline failure
-//!    carries its own structured diagnostics (the verify stage re-checks
-//!    branch balance with [`verify_balance`]).
-//! 3. **Pairing** — the original program is embedded into the transformed
-//!    one ([`verify_pair`]): anything inserted must be innocuous
-//!    (`PUB003`), and loop bounds must survive untouched (`PUB004`).
+//! 1. **Transform** — [`pub_transform`] runs under the given
+//!    configuration. If its output fails program validation, the
+//!    [`ProgramError`](mbcr_ir::ProgramError) surfaces as one `IR001`
+//!    diagnostic and there is nothing to pair.
+//! 2. **Pairing** — [`lint_pair`] checks the transformed program on its
+//!    own (branch balance, [`verify_balance`]) and against the original
+//!    ([`verify_pair`]): anything inserted must be innocuous (`PUB003`),
+//!    and loop bounds must survive untouched (`PUB004`).
+//!
+//! The IR has no `goto` or `break`, so every program's control flow is
+//! structured by construction; there is no separate structural check.
 //!
 //! The CLI prints each [`Diagnostic`](mbcr_ir::Diagnostic) with its stable
 //! code and exits nonzero when any check fails; the unit tests below seed
@@ -20,25 +20,22 @@
 //! reports, so a regression in either the transform or the verifier shows
 //! up as a changed code, not a silent pass.
 
-use mbcr_ir::{verify_balance, verify_pair, Analysis, Cfg, DiagCode, Diagnostics, Program};
-use mbcr_pub::{pub_pipeline, PubConfig};
+use mbcr_ir::{verify_balance, verify_pair, DiagCode, Diagnostics, Program};
+use mbcr_pub::{pub_transform, PubConfig};
 
-/// Lints one source program end-to-end: structural validation, the PUB
-/// pipeline under `cfg`, and original-vs-transformed pairing. Empty
-/// diagnostics mean the program (and its transform) verified clean.
+/// Lints one source program end-to-end: the PUB transform under `cfg`,
+/// then [`lint_pair`] on its output. Empty diagnostics mean the program
+/// (and its transform) verified clean.
 #[must_use]
 pub fn lint_program(program: &Program, cfg: &PubConfig) -> Diagnostics {
-    let mut diags = Diagnostics::new();
-    let cfg_lowered = Cfg::of(program);
-    let analysis = Analysis::of(&cfg_lowered);
-    for finding in analysis.validate(&cfg_lowered, program.body()) {
-        diags.push(DiagCode::InvalidProgram, None, finding);
+    match pub_transform(program, cfg) {
+        Ok(pubbed) => lint_pair(program, &pubbed.program),
+        Err(e) => {
+            let mut diags = Diagnostics::new();
+            diags.push(DiagCode::InvalidProgram, None, format!("{e:?}"));
+            diags
+        }
     }
-    match pub_pipeline(cfg).run(program) {
-        Ok(pubbed) => extend(&mut diags, lint_pair(program, &pubbed)),
-        Err(pipeline_diags) => extend(&mut diags, pipeline_diags),
-    }
-    diags
 }
 
 /// Lints an already-transformed program against its original: branch
@@ -49,21 +46,16 @@ pub fn lint_program(program: &Program, cfg: &PubConfig) -> Diagnostics {
 #[must_use]
 pub fn lint_pair(orig: &Program, pubbed: &Program) -> Diagnostics {
     let mut diags = verify_balance(pubbed);
-    extend(&mut diags, verify_pair(orig, pubbed));
-    diags
-}
-
-fn extend(into: &mut Diagnostics, from: Diagnostics) {
-    for d in &from {
-        into.push(d.code, d.construct, d.message.clone());
+    for d in &verify_pair(orig, pubbed) {
+        diags.push(d.code, d.construct, d.message.clone());
     }
+    diags
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mbcr_ir::{ArrayId, Expr, ProgramBuilder, Stmt};
-    use mbcr_pub::pub_transform;
 
     fn branchy_program() -> Program {
         let mut b = ProgramBuilder::new("branchy");

@@ -43,7 +43,6 @@ fn opts(batch_width: usize) -> RunOptions {
         force: false,
         checkpoint_interval: Some(256),
         batch_width: Some(batch_width),
-        ..RunOptions::default()
     }
 }
 
