@@ -11,6 +11,11 @@
 //! are a pure cyclic traversal (the paper's `{ABCDEA}`-style examples) the
 //! lower bound of the paper holds: at least one miss per traversal once the
 //! group exceeds the set's ways.
+//!
+//! [`expected_local_misses`] is the replay kernel behind the estimate: it
+//! takes the group's accesses already named by dense group-local ids, so
+//! TAC, which extracts each group's substream once, replays it without a
+//! membership search per access. [`single_run_misses`] is its reference.
 
 use mbcr_rng::{derive_seed, Rng64, Xoshiro256PlusPlus};
 use mbcr_trace::LineId;
@@ -72,6 +77,8 @@ pub fn single_run_misses(
 ///
 /// Returns the mean over `reps` independent replacement streams. The
 /// deterministic policies need a single rep ([`single_run_misses`]).
+/// `group` must be sorted; the stream is renamed to group-local ids once
+/// and replayed by [`expected_local_misses`].
 ///
 /// # Panics
 ///
@@ -84,18 +91,53 @@ pub fn expected_misses(
     reps: u32,
     seed: u64,
 ) -> f64 {
+    let local: Vec<u32> = stream
+        .iter()
+        .filter_map(|line| group.binary_search(line).ok())
+        .map(|i| u32::try_from(i).expect("group indices fit u32"))
+        .collect();
+    expected_local_misses(&local, ways, reps, seed)
+}
+
+/// Mean miss count of `reps` replays of `stream`, one group's accesses named
+/// by group-local ids, through one `ways`-way random-replacement set.
+///
+/// Replay `r` draws `below_usize(ways)` from
+/// `Xoshiro256PlusPlus::from_seed(derive_seed(seed, r))` at exactly the
+/// misses where [`single_run_misses`] draws (those that find the set full),
+/// and the ways fill in the same order. So the result is, bit for bit, the
+/// mean of [`single_run_misses`] under [`ReplacementPolicy::Random`] over the
+/// same accesses under any naming of the lines.
+///
+/// # Panics
+///
+/// Panics if `reps == 0` or `ways == 0`.
+#[must_use]
+pub fn expected_local_misses(stream: &[u32], ways: u32, reps: u32, seed: u64) -> f64 {
     assert!(reps > 0, "reps must be positive");
-    let total: u64 = (0..reps)
-        .map(|r| {
-            single_run_misses(
-                stream,
-                group,
-                ways,
-                ReplacementPolicy::Random,
-                derive_seed(seed, u64::from(r)),
-            )
-        })
-        .sum();
+    assert!(ways > 0, "ways must be positive");
+    let ways = ways as usize;
+    // The first `filled` ways hold lines; ways fill in index order and never
+    // empty again, as in `single_run_misses`.
+    let mut tags = vec![0u32; ways];
+    let mut total = 0u64;
+    for r in 0..reps {
+        let mut rng = Xoshiro256PlusPlus::from_seed(derive_seed(seed, u64::from(r)));
+        let mut filled = 0;
+        for &id in stream {
+            if tags[..filled].contains(&id) {
+                continue;
+            }
+            total += 1;
+            let victim = if filled < ways {
+                filled += 1;
+                filled - 1
+            } else {
+                rng.below_usize(ways)
+            };
+            tags[victim] = id;
+        }
+    }
     total as f64 / f64::from(reps)
 }
 
@@ -219,6 +261,41 @@ mod tests {
             assert_eq!(
                 expected_misses(&s, &all, ways, 8, case).to_bits(),
                 expected_misses(&deduped, &all, ways, 8, case).to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn expected_misses_is_the_mean_of_the_reference_replays() {
+        // Streams over more lines than the group (non-members interleave
+        // with members), every associativity up to 8, 1 to 9 reps.
+        let mut g = mbcr_rng::SplitMix64::new(0xE4);
+        for case in 0..200u64 {
+            let lines = 2 + g.next_u64() % 14;
+            let len = g.next_u64() % 400;
+            let s: Vec<LineId> = (0..len).map(|_| LineId(g.next_u64() % lines)).collect();
+            let mut members: Vec<u64> = (0..lines)
+                .filter(|_| !g.next_u64().is_multiple_of(3))
+                .collect();
+            members.truncate(1 + (g.next_u64() % 9) as usize);
+            let grp = group(&members);
+            let ways = 1 + (g.next_u64() % 8) as u32;
+            let reps = 1 + (g.next_u64() % 9) as u32;
+            let total: u64 = (0..reps)
+                .map(|r| {
+                    single_run_misses(
+                        &s,
+                        &grp,
+                        ways,
+                        ReplacementPolicy::Random,
+                        derive_seed(case, u64::from(r)),
+                    )
+                })
+                .sum();
+            assert_eq!(
+                expected_misses(&s, &grp, ways, reps, case).to_bits(),
+                (total as f64 / f64::from(reps)).to_bits(),
+                "case {case}: ways {ways}, reps {reps}, group {members:?}"
             );
         }
     }

@@ -1,6 +1,6 @@
 //! The PUB program transformation.
 
-use mbcr_ir::{Expr, Program, ProgramError, Stmt, Var};
+use mbcr_ir::{const_eval, Expr, Program, ProgramError, Stmt, Var};
 use mbcr_trace::scs::scs2_by;
 
 use crate::tokens::{materialize, seq_sig, StmtSig};
@@ -31,7 +31,9 @@ pub enum WidenPolicy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PubConfig {
     /// Also pad loops to their declared bounds (`max_iter`), so paths that
-    /// exit loops early still emit the full per-iteration footprint.
+    /// exit loops early still emit the full per-iteration footprint. A
+    /// `for` whose constant bounds already span `max_iter` always runs its
+    /// bound and is left as it is.
     ///
     /// The paper's PUB assumes analysis inputs trigger the highest loop
     /// bounds; enabling this removes that assumption at the cost of extra
@@ -253,7 +255,7 @@ impl Ctx {
                 let _id = self.next_construct;
                 self.next_construct += 1;
                 let body_t = self.transform_stmts(body);
-                if self.cfg.pad_loops {
+                if self.cfg.pad_loops && !runs_its_bound(from, to, *max_iter) {
                     self.report.loops_padded += 1;
                     self.pad_for(*var, from.clone(), to.clone(), *max_iter, body_t)
                 } else {
@@ -352,6 +354,17 @@ impl Ctx {
             ],
         }
         .prefixed(vec![Stmt::Assign(lo, from), Stmt::Assign(hi, to)])
+    }
+}
+
+/// Whether `for v in from..to` provably runs exactly `max_iter` iterations:
+/// both bounds are constant and span the bound. The IR has no `break` or
+/// `return`, so such a loop always runs its bound and padding it would only
+/// add the guard's cost.
+fn runs_its_bound(from: &Expr, to: &Expr, max_iter: u32) -> bool {
+    match (const_eval(from), const_eval(to)) {
+        (Some(lo), Some(hi)) => hi.checked_sub(lo) == Some(i64::from(max_iter)),
+        _ => false,
     }
 }
 

@@ -44,6 +44,35 @@ use mbcr_shard::{
     lint_program, protocol, run_worker, serve, serve_daemon_with, CoordSettings, GatewayOptions,
 };
 
+/// Writes command output to stdout, the one path every command prints
+/// through. When the reader has gone away (`mbcr lint --all | head -2`) the
+/// command ends quietly with status 0, where `println!` would panic.
+fn emit(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    match io::stdout().lock().write_fmt(args) {
+        Ok(()) => {}
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => panic!("failed printing to stdout: {e}"),
+    }
+}
+
+/// `print!` through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`emit`].
+macro_rules! outln {
+    () => {
+        emit(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 const USAGE: &str = "mbcr — batch PUB + TAC + MBPTA analysis engine (DAC'18 reproduction)
 
 USAGE:
@@ -245,12 +274,12 @@ fn dispatch(args: &[String]) -> Result<ExitCode, EngineError> {
         Some("report") => report(&args[1..]),
         Some("loadgen") => loadgen(&args[1..]),
         Some("help" | "--help" | "-h") | None => {
-            print!("{USAGE}");
+            out!("{USAGE}");
             Ok(ExitCode::SUCCESS)
         }
         Some(other) => {
             eprintln!("mbcr: unknown command '{other}'\n");
-            print!("{USAGE}");
+            out!("{USAGE}");
             Ok(ExitCode::from(2))
         }
     }
@@ -322,8 +351,8 @@ fn parse_u64(flag: &str, text: &str) -> Result<u64, EngineError> {
 
 fn list_benchmarks() -> Result<ExitCode, EngineError> {
     let registry = Registry::malardalen();
-    println!("{:<12} {:<26} inputs", "name", "class");
-    println!("{}", "-".repeat(60));
+    outln!("{:<12} {:<26} inputs", "name", "class");
+    outln!("{}", "-".repeat(60));
     for b in registry.iter() {
         let vectors: Vec<&str> = b.input_vectors.iter().map(|v| v.name.as_str()).collect();
         let inputs = if vectors.is_empty() {
@@ -331,7 +360,7 @@ fn list_benchmarks() -> Result<ExitCode, EngineError> {
         } else {
             vectors.join(", ")
         };
-        println!("{:<12} {:<26} {inputs}", b.name, format!("{:?}", b.class));
+        outln!("{:<12} {:<26} {inputs}", b.name, format!("{:?}", b.class));
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -392,10 +421,10 @@ fn analyze(args: &[String]) -> Result<ExitCode, EngineError> {
     let cfg = builder.build();
     let analysis = analyze_pub_tac(&benchmark.program, inputs, &cfg)
         .map_err(|e| EngineError::Analysis(e.to_string()))?;
-    print!("{}", render_report(benchmark.name, &analysis));
+    out!("{}", render_report(benchmark.name, &analysis));
     if let Some(path) = json_path {
         std::fs::write(&path, analysis.to_json().to_pretty())?;
-        println!("\nanalysis written to {path}");
+        outln!("\nanalysis written to {path}");
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -437,7 +466,7 @@ fn paths_cmd(args: &[String]) -> Result<ExitCode, EngineError> {
     } else {
         space.num_paths().to_string()
     };
-    println!(
+    outln!(
         "{}: {static_text} static paths (Ball-Larus)",
         benchmark.name
     );
@@ -448,13 +477,13 @@ fn paths_cmd(args: &[String]) -> Result<ExitCode, EngineError> {
         let f = groups.len() as f64 / space.num_paths() as f64;
         format!("{f:.4}")
     };
-    println!(
+    outln!(
         "observed: {} distinct path(s) across {} input vector(s), coverage {coverage}\n",
         groups.len(),
         inputs.len()
     );
 
-    println!("{:>24}  {:>8}  {:>6}  vectors", "bl-id", "instrs", "data");
+    outln!("{:>24}  {:>8}  {:>6}  vectors", "bl-id", "instrs", "data");
     for (record, members) in &groups {
         let id = space
             .index_of(record)
@@ -466,7 +495,7 @@ fn paths_cmd(args: &[String]) -> Result<ExitCode, EngineError> {
             .iter()
             .map(|&i| benchmark.input_vectors[i].name.as_str())
             .collect();
-        println!(
+        outln!(
             "{id:>24}  {:>8}  {:>6}  {}",
             sig.instr_fetches,
             sig.data_accesses,
@@ -475,7 +504,7 @@ fn paths_cmd(args: &[String]) -> Result<ExitCode, EngineError> {
     }
 
     if space.is_saturated() || space.num_paths() > limit as u128 {
-        println!("\n(enumeration skipped: path space exceeds --limit {limit})");
+        outln!("\n(enumeration skipped: path space exceeds --limit {limit})");
         return Ok(ExitCode::SUCCESS);
     }
     let observed: std::collections::HashSet<u128> = groups
@@ -485,10 +514,10 @@ fn paths_cmd(args: &[String]) -> Result<ExitCode, EngineError> {
     let all = space
         .enumerate_paths(limit)
         .map_err(|e| EngineError::Analysis(e.to_string()))?;
-    println!("\nenumeration ({} paths):", all.len());
-    println!("{:>24}  {:>8}  {:>6}  observed", "bl-id", "instrs", "data");
+    outln!("\nenumeration ({} paths):", all.len());
+    outln!("{:>24}  {:>8}  {:>6}  observed", "bl-id", "instrs", "data");
     for path in &all {
-        println!(
+        outln!(
             "{:>24}  {:>8}  {:>6}  {}",
             path.index,
             path.signature.instr_fetches,
@@ -594,10 +623,10 @@ fn lint_cmd(args: &[String]) -> Result<ExitCode, EngineError> {
         match format {
             OutputFormat::Text => {
                 if diags.is_empty() {
-                    println!("{name}: ok");
+                    outln!("{name}: ok");
                 } else {
                     for d in &diags {
-                        println!("{name}: {d}");
+                        outln!("{name}: {d}");
                     }
                 }
             }
@@ -614,7 +643,7 @@ fn lint_cmd(args: &[String]) -> Result<ExitCode, EngineError> {
             ("findings".to_string(), Json::UInt(findings as u64)),
             ("diagnostics".to_string(), Json::Arr(rows)),
         ]);
-        println!("{}", doc.to_pretty());
+        outln!("{}", doc.to_pretty());
     }
     if findings == 0 {
         Ok(ExitCode::SUCCESS)
@@ -683,7 +712,7 @@ fn classify_cmd(args: &[String]) -> Result<ExitCode, EngineError> {
         match format {
             OutputFormat::Text => {
                 if i > 0 {
-                    println!();
+                    outln!();
                 }
                 print_classification(name, &geometry, &cls, &diags, inputs.len(), limit);
             }
@@ -700,7 +729,7 @@ fn classify_cmd(args: &[String]) -> Result<ExitCode, EngineError> {
             ("findings".to_string(), Json::UInt(findings as u64)),
             ("benchmarks".to_string(), Json::Obj(docs)),
         ]);
-        println!("{}", doc.to_pretty());
+        outln!("{}", doc.to_pretty());
     }
     if findings == 0 {
         Ok(ExitCode::SUCCESS)
@@ -728,19 +757,23 @@ fn print_classification(
     vectors: usize,
     limit: usize,
 ) {
-    println!("{name} @ {}:", geometry.label());
-    println!("  il1: {}", rollup_side_line(&cls.rollup.il1));
-    println!("  dl1: {}", rollup_side_line(&cls.rollup.dl1));
-    println!(
+    outln!("{name} @ {}:", geometry.label());
+    outln!("  il1: {}", rollup_side_line(&cls.rollup.il1));
+    outln!("  dl1: {}", rollup_side_line(&cls.rollup.dl1));
+    outln!(
         "\n  {:>4}  {:<5}  {:<5}  {:>9}  {:<18}  class",
-        "site", "cache", "kind", "construct", "loc"
+        "site",
+        "cache",
+        "kind",
+        "construct",
+        "loc"
     );
     for row in cls.sites.iter().take(limit) {
         let construct = row
             .site
             .construct
             .map_or_else(|| "-".to_string(), |c| c.to_string());
-        println!(
+        outln!(
             "  {:>4}  {:<5}  {:<5}  {construct:>9}  {:<18}  {}",
             row.site.id,
             row.site.cache_name(),
@@ -750,13 +783,13 @@ fn print_classification(
         );
     }
     if cls.sites.len() > limit {
-        println!("  ... ({} more; raise --limit)", cls.sites.len() - limit);
+        outln!("  ... ({} more; raise --limit)", cls.sites.len() - limit);
     }
     if diags.is_empty() {
-        println!("\n  cross-validation: ok ({vectors} input vector(s), no CCA findings)");
+        outln!("\n  cross-validation: ok ({vectors} input vector(s), no CCA findings)");
     } else {
         for d in diags {
-            println!("\n  {name}: {d}");
+            outln!("\n  {name}: {d}");
         }
     }
 }
@@ -892,7 +925,7 @@ fn sweep(args: &[String]) -> Result<ExitCode, EngineError> {
 
     let store = ArtifactStore::open(&out)?;
     let registry = Registry::malardalen();
-    println!(
+    outln!(
         "sweep '{}': {} benchmark(s) × {} geometr(ies) × {} seed(s) -> {}{}",
         spec.name,
         if spec.benchmarks.is_empty() {
@@ -1044,7 +1077,7 @@ fn trace_cmd(args: &[String]) -> Result<ExitCode, EngineError> {
     }
     std::fs::write(&out, format!("{}\n", doc.to_compact()))?;
     print_outcome(&outcome, &store);
-    println!(
+    outln!(
         "trace: {} span event(s){} -> {out}",
         events.len(),
         if dropped > 0 {
@@ -1094,11 +1127,11 @@ fn serve_cmd(args: &[String]) -> Result<ExitCode, EngineError> {
     let registry = Registry::malardalen();
     let listener = TcpListener::bind(&listen)?;
     // Parseable by scripts (and by port-0 users who need the real port).
-    println!("service listening on {}", listener.local_addr()?);
+    outln!("service listening on {}", listener.local_addr()?);
     let http = match http {
         Some(addr) => {
             let http = TcpListener::bind(&addr)?;
-            println!("http listening on {}", http.local_addr()?);
+            outln!("http listening on {}", http.local_addr()?);
             Some(http)
         }
         None => None,
@@ -1264,7 +1297,7 @@ fn submit(args: &[String]) -> Result<ExitCode, EngineError> {
             Serialize::to_json(&max_concurrent),
         ),
     ]);
-    println!("submitted {}", post_sweep(&addr, &body)?);
+    outln!("submitted {}", post_sweep(&addr, &body)?);
     Ok(ExitCode::SUCCESS)
 }
 
@@ -1276,13 +1309,19 @@ fn status(args: &[String]) -> Result<ExitCode, EngineError> {
     flags.reject_unknown()?;
 
     let (rows, code) = status_rows(&addr, sweep)?;
-    println!(
+    outln!(
         "{:<24} {:<20} {:<9} {:>9} {:>9} {:>8} {:>7}",
-        "sweep", "name", "state", "done", "executed", "cached", "failed"
+        "sweep",
+        "name",
+        "state",
+        "done",
+        "executed",
+        "cached",
+        "failed"
     );
-    println!("{}", "-".repeat(92));
+    outln!("{}", "-".repeat(92));
     for s in &rows {
-        println!(
+        outln!(
             "{:<24} {:<20} {:<9} {:>5}/{:<3} {:>9} {:>8} {:>7}",
             s.id,
             s.name,
@@ -1319,13 +1358,13 @@ fn cancel(args: &[String]) -> Result<ExitCode, EngineError> {
         .and_then(|doc| doc.get("state"))
         .and_then(Json::as_str)
         .ok_or_else(|| EngineError::Analysis(format!("DELETE {path}: no 'state' in the reply")))?;
-    println!("{sweep}: {state}");
+    outln!("{sweep}: {state}");
     Ok(ExitCode::SUCCESS)
 }
 
 /// Renders one live progress snapshot (`report --follow`).
 fn render_snapshot(snapshot: &SweepSnapshot) {
-    println!(
+    outln!(
         "--- {} ({}) [{}]: {}/{} jobs done",
         snapshot.id,
         snapshot.name,
@@ -1334,7 +1373,7 @@ fn render_snapshot(snapshot: &SweepSnapshot) {
         snapshot.total,
     );
     if !snapshot.jobs.is_empty() {
-        print!(
+        out!(
             "{}",
             render_stage_status(
                 snapshot.jobs.iter().map(|(label, status, resumed)| (
@@ -1347,7 +1386,7 @@ fn render_snapshot(snapshot: &SweepSnapshot) {
         );
     }
     if !snapshot.campaigns.is_empty() {
-        print!("{}", render_campaign_progress(&snapshot.campaigns));
+        out!("{}", render_campaign_progress(&snapshot.campaigns));
     }
 }
 
@@ -1484,9 +1523,10 @@ fn worker(args: &[String]) -> Result<ExitCode, EngineError> {
             return Ok(ExitCode::from(1));
         }
     };
-    println!(
+    outln!(
         "worker done: {} executed, {} failed",
-        outcome.executed, outcome.failed
+        outcome.executed,
+        outcome.failed
     );
     Ok(if outcome.failed == 0 {
         ExitCode::SUCCESS
@@ -1499,7 +1539,7 @@ fn worker(args: &[String]) -> Result<ExitCode, EngineError> {
 /// finished sweep — identical output for local and self-hosted sharded
 /// runs.
 fn print_outcome(outcome: &SweepOutcome, store: &ArtifactStore) {
-    print!(
+    out!(
         "{}",
         render_stage_status(
             outcome.records.iter().map(|r| {
@@ -1515,9 +1555,9 @@ fn print_outcome(outcome: &SweepOutcome, store: &ArtifactStore) {
             &stage_wall_times(),
         )
     );
-    println!();
-    print!("{}", render_rows(&outcome.rows));
-    println!(
+    outln!();
+    out!("{}", render_rows(&outcome.rows));
+    outln!(
         "\n{} executed, {} cached, {} failed in {:.1}s ({} artifacts under {})",
         outcome.executed,
         outcome.skipped,
@@ -1556,7 +1596,7 @@ fn report(args: &[String]) -> Result<ExitCode, EngineError> {
         // A one-shot snapshot of the daemon's queue.
         let (rows, code) = status_rows(&addr, sweep.as_deref())?;
         for s in &rows {
-            println!(
+            outln!(
                 "{} ({}) [{}]: {}/{} done — {} executed, {} cached, {} failed",
                 s.id,
                 s.name,
@@ -1592,11 +1632,11 @@ fn report(args: &[String]) -> Result<ExitCode, EngineError> {
         if progress.is_empty() {
             return Err(EngineError::Spec(format!("no manifest under '{out}'")));
         }
-        println!(
+        outln!(
             "no manifest under '{out}' (sweep interrupted before completion?); \
              streamed campaign state:\n"
         );
-        print!("{}", render_campaign_progress(&progress));
+        out!("{}", render_campaign_progress(&progress));
         return Ok(ExitCode::SUCCESS);
     };
     let spec_name = manifest
@@ -1620,7 +1660,7 @@ fn report(args: &[String]) -> Result<ExitCode, EngineError> {
             .and_then(Json::as_u64)
             .unwrap_or(0)
     };
-    println!(
+    outln!(
         "run '{}' at {}: {} jobs ({} executed, {} cached, {} failed)\n",
         spec_name,
         store.root().display(),
@@ -1629,7 +1669,7 @@ fn report(args: &[String]) -> Result<ExitCode, EngineError> {
         counts("skipped"),
         counts("failed"),
     );
-    print!(
+    out!(
         "{}",
         render_stage_status(
             jobs.iter().map(|j| {
@@ -1646,11 +1686,11 @@ fn report(args: &[String]) -> Result<ExitCode, EngineError> {
         )
     );
     if !progress.is_empty() {
-        println!();
-        print!("{}", render_campaign_progress(&progress));
+        outln!();
+        out!("{}", render_campaign_progress(&progress));
     }
-    println!();
-    print!("{}", render_rows(&aggregate_rows(&summaries)));
+    outln!();
+    out!("{}", render_rows(&aggregate_rows(&summaries)));
     Ok(ExitCode::SUCCESS)
 }
 
@@ -1877,7 +1917,7 @@ fn loadgen_run(
         ids.push(post_sweep(&addr, &body)?);
         http_hist.record(dur_ns(posted.elapsed()));
     }
-    println!(
+    outln!(
         "loadgen: {} overlapping sweeps submitted over http://{addr}, {} SSE followers",
         ids.len(),
         followers
@@ -1912,7 +1952,7 @@ fn loadgen_run(
         .map_err(|e| fail(format!("GET /v1/metrics: {e}")))?
         .json()
         .ok_or_else(|| fail("non-JSON body from /v1/metrics".into()))?;
-    print!(
+    out!(
         "{}",
         loadgen_report(
             &metrics,

@@ -2,7 +2,7 @@
 //! benchmarks exit zero, findings and unknown names exit nonzero, and the
 //! printed diagnostics carry the stable codes.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn mbcr(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_mbcr"))
@@ -26,6 +26,27 @@ fn lint_all_passes_clean_on_the_shipped_suite() {
             "missing {bench} in:\n{stdout}"
         );
     }
+}
+
+#[test]
+fn closed_stdout_ends_the_command_quietly() {
+    // The read end is closed before the child starts, so its first line
+    // already meets a broken pipe (`mbcr lint --all | head -0`).
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_mbcr"))
+        .args(["lint", "--all"])
+        .stdout(writer)
+        .stderr(Stdio::piped())
+        .output()
+        .expect("mbcr binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert!(
+        out.status.success(),
+        "status {:?}, stderr: {stderr}",
+        out.status
+    );
 }
 
 #[test]

@@ -44,10 +44,15 @@
 //! assert!((84_000..86_000).contains(&r), "runs = {r}");
 //! ```
 
-use mbcr_cache::single_set::expected_misses;
+use std::collections::HashMap;
+
+use mbcr_cache::single_set::expected_local_misses;
 use mbcr_rng::derive_seed;
 use mbcr_trace::analysis::{line_stats, InterleavingMatrix};
 use mbcr_trace::{LineId, SymSeq};
+
+#[cfg(test)]
+mod oracle;
 
 /// Configuration of a TAC analysis.
 #[derive(Debug, Clone, PartialEq)]
@@ -213,16 +218,17 @@ pub fn analyze_lines(stream: &[LineId], cfg: &TacConfig) -> TacAnalysis {
     let stats = line_stats(stream);
     let unique_lines = stats.len();
     let group_size = cfg.ways + 1;
+    let no_groups = TacAnalysis {
+        unique_lines,
+        groups_evaluated: 0,
+        relevant_groups: Vec::new(),
+        classes: Vec::new(),
+        runs_required: 0,
+    };
 
     // A set can only overflow if the footprint exceeds the associativity.
     if unique_lines < group_size as usize {
-        return TacAnalysis {
-            unique_lines,
-            groups_evaluated: 0,
-            relevant_groups: Vec::new(),
-            classes: Vec::new(),
-            runs_required: 0,
-        };
+        return no_groups;
     }
 
     // Hot candidates: reused lines, most-accessed first (a stable sort, so
@@ -240,41 +246,47 @@ pub fn analyze_lines(stream: &[LineId], cfg: &TacConfig) -> TacAnalysis {
         .collect();
 
     if hot.len() < group_size as usize {
-        return TacAnalysis {
-            unique_lines,
-            groups_evaluated: 0,
-            relevant_groups: Vec::new(),
-            classes: Vec::new(),
-            runs_required: 0,
-        };
+        return no_groups;
     }
 
-    // Restrict the stream to hot lines for the interleaving analysis.
-    let hot_set: std::collections::HashSet<LineId> = hot.iter().copied().collect();
-    let hot_stream: Vec<LineId> = stream
+    // Name each hot line by its rank in `hot`, restrict the stream to hot
+    // lines once and collapse consecutive repeats. Every later step reads
+    // only this collapsed stream: a repeat adds no interleaving count (the
+    // line's gap was just closed) and does not move first appearances, and
+    // restricting it to a group gives the group's collapsed substream,
+    // because dedup(filter(s)) = dedup(filter(dedup(s))).
+    let rank: HashMap<LineId, u32> = hot
         .iter()
-        .copied()
-        .filter(|l| hot_set.contains(l))
+        .enumerate()
+        .map(|(i, &line)| (line, u32::try_from(i).expect("hot ranks fit u32")))
         .collect();
-    let matrix = InterleavingMatrix::build(&hot_stream);
-
-    // Positions per line for substream extraction.
-    let mut positions: std::collections::HashMap<LineId, Vec<u32>> =
-        std::collections::HashMap::new();
-    for (i, &l) in hot_stream.iter().enumerate() {
-        positions.entry(l).or_default().push(i as u32);
+    let mut hot_ids: Vec<u32> = Vec::new();
+    for id in stream.iter().filter_map(|line| rank.get(line)) {
+        if hot_ids.last() != Some(id) {
+            hot_ids.push(*id);
+        }
     }
+    let collapsed: Vec<LineId> = hot_ids.iter().map(|&id| hot[id as usize]).collect();
+    let matrix = InterleavingMatrix::build(&collapsed);
 
     let groups = enumerate_groups(&matrix, cfg, group_size);
     let groups_evaluated = groups.len();
 
-    // Evaluate impacts.
+    // Evaluate impacts: one scan of the collapsed stream per group.
+    let mut local = vec![NOT_MEMBER; hot.len()];
+    let mut sub: Vec<u32> = Vec::new();
     let mut relevant: Vec<ConflictGroup> = Vec::new();
     for (gi, lines) in groups.into_iter().enumerate() {
-        let sub = merge_substream(&lines, &positions, &hot_stream);
-        let misses = expected_misses(
+        let ranks: Vec<usize> = lines.iter().map(|line| rank[line] as usize).collect();
+        for (k, &r) in ranks.iter().enumerate() {
+            local[r] = k as u32;
+        }
+        group_substream(&hot_ids, &local, &mut sub);
+        for &r in &ranks {
+            local[r] = NOT_MEMBER;
+        }
+        let misses = expected_local_misses(
             &sub,
-            &lines,
             cfg.ways,
             cfg.mc_reps,
             derive_seed(cfg.seed, gi as u64),
@@ -403,32 +415,31 @@ fn combinations(n: usize, k: usize, buf: &mut [usize], f: &mut impl FnMut(&[usiz
     }
 }
 
-/// Extracts the subsequence of `stream` restricted to `lines` (sorted) by
-/// merging per-line position lists — O(total occurrences · log k) instead of
-/// a full stream scan per group — with consecutive repeats of one line
-/// collapsed. A repeat hits in the group's set under every replacement
-/// policy without changing which way the next miss evicts (the rule
+/// Marks a hot line outside the group being evaluated.
+const NOT_MEMBER: u32 = u32::MAX;
+
+/// Writes into `sub` one group's accesses, in group-local ids, from the
+/// collapsed hot stream `hot_ids`: `local[id]` is the group-local id of hot
+/// line `id`, or [`NOT_MEMBER`]. Consecutive repeats of one line collapse. A
+/// repeat hits in the group's set under every replacement policy without
+/// changing which way the next miss evicts (the rule
 /// `mbcr_cpu::ResolvedTrace` applies to whole traces), so the single-set
-/// simulation counts the same misses, and draws the same random numbers,
-/// on the shorter stream.
-fn merge_substream(
-    lines: &[LineId],
-    positions: &std::collections::HashMap<LineId, Vec<u32>>,
-    stream: &[LineId],
-) -> Vec<LineId> {
-    let mut pos: Vec<u32> = lines
-        .iter()
-        .flat_map(|l| positions.get(l).into_iter().flatten().copied())
-        .collect();
-    pos.sort_unstable();
-    let mut sub: Vec<LineId> = pos.into_iter().map(|p| stream[p as usize]).collect();
-    sub.dedup();
-    sub
+/// simulation counts the same misses, and draws the same random numbers, on
+/// the shorter stream.
+fn group_substream(hot_ids: &[u32], local: &[u32], sub: &mut Vec<u32>) {
+    sub.clear();
+    for &id in hot_ids {
+        let l = local[id as usize];
+        if l != NOT_MEMBER && sub.last() != Some(&l) {
+            sub.push(l);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mbcr_rng::Rng64;
 
     fn seq(s: &str) -> SymSeq {
         s.parse().unwrap()
@@ -557,19 +568,39 @@ mod tests {
     }
 
     #[test]
-    fn merged_substreams_collapse_consecutive_repeats() {
-        // A A X B B A X A restricted to {A, B}: A A B B A A -> A B A.
-        let stream = seq("AAXBBAXA").to_lines();
-        let mut positions: std::collections::HashMap<LineId, Vec<u32>> =
-            std::collections::HashMap::new();
-        for (i, &l) in stream.iter().enumerate() {
-            positions.entry(l).or_default().push(i as u32);
+    fn group_substreams_collapse_consecutive_repeats() {
+        // Hot ids A=0, X=1, B=2: A X B A X A restricted to {A, B} is
+        // A B A A -> A B A, named by the group-local ids 1 and 0.
+        let hot_ids = [0, 1, 2, 0, 1, 0];
+        let local = [1, NOT_MEMBER, 0];
+        let mut sub = vec![7];
+        group_substream(&hot_ids, &local, &mut sub);
+        assert_eq!(sub, [1, 0, 1]);
+    }
+
+    #[test]
+    fn interleaving_matrix_ignores_consecutive_repeats() {
+        // The matrix TAC builds on the collapsed stream equals the one of
+        // the full stream: same lines in the same order, same counts.
+        let mut g = mbcr_rng::SplitMix64::new(0x1A7);
+        for case in 0..100 {
+            let lines = 1 + g.next_u64() % 12;
+            let mut s = Vec::new();
+            while s.len() < 200 {
+                let line = LineId(g.next_u64() % lines);
+                for _ in 0..1 + g.next_u64() % 4 {
+                    s.push(line);
+                }
+            }
+            let mut collapsed = s.clone();
+            collapsed.dedup();
+            let (full, short) = (
+                InterleavingMatrix::build(&s),
+                InterleavingMatrix::build(&collapsed),
+            );
+            assert_eq!(full.lines, short.lines, "case {case}");
+            assert_eq!(full.counts, short.counts, "case {case}");
         }
-        let lines = seq("AB").to_lines();
-        assert_eq!(
-            merge_substream(&lines, &positions, &stream),
-            seq("ABA").to_lines()
-        );
     }
 
     #[test]

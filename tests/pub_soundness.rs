@@ -185,6 +185,30 @@ fn pub_preserves_functional_semantics() {
     }
 }
 
+/// Padding leaves a loop whose constant bounds span its declared bound as
+/// it is: matmult's and edn's loops all do, so their padded traces are
+/// their paper-PUB traces on every input vector, with no loop rewritten.
+#[test]
+fn padding_skips_loops_that_always_run_their_bound() {
+    for b in [
+        mbcr_malardalen::matmult::benchmark(),
+        mbcr_malardalen::edn::benchmark(),
+    ] {
+        let padded = pub_transform(&b.program, &PubConfig::with_loop_padding()).expect("pub");
+        let paper = pub_transform(&b.program, &PubConfig::paper()).expect("pub");
+        assert_eq!(padded.report.loops_padded, 0, "{}", b.name);
+        for v in &b.input_vectors {
+            assert_eq!(
+                execute(&padded.program, &v.inputs).unwrap().trace,
+                execute(&paper.program, &v.inputs).unwrap().trace,
+                "{} {}",
+                b.name,
+                v.name
+            );
+        }
+    }
+}
+
 /// Loop padding extends dominance to inputs that do NOT trigger max loop
 /// bounds (the documented extension). On every benchmark the padded
 /// program is branch-balanced, and every input vector runs the same
