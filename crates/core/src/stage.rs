@@ -1555,6 +1555,19 @@ pub fn stage_artifact_data(doc: &Json, stage: StageKind, digest: u64) -> Option<
     doc.get("data")
 }
 
+/// [`stage_artifact_data`] for an owned document: validates the envelope
+/// the same way, then moves the payload out instead of copying it.
+#[must_use]
+pub fn into_stage_artifact_data(doc: Json, stage: StageKind, digest: u64) -> Option<Json> {
+    stage_artifact_data(&doc, stage, digest)?;
+    let Json::Obj(members) = doc else {
+        return None;
+    };
+    members
+        .into_iter()
+        .find_map(|(key, value)| (key == "data").then_some(value))
+}
+
 fn campaign_seed(cfg: &AnalysisConfig) -> u64 {
     derive_seed(cfg.seed, 0xCA)
 }
@@ -1913,8 +1926,7 @@ impl<'a> AnalysisSession<'a> {
         }
         let store = self.store?;
         let digest = self.digests.get(stage)?;
-        let doc = store.load_stage(digest)?;
-        stage_artifact_data(&doc, stage, digest).cloned()
+        into_stage_artifact_data(store.load_stage(digest)?, stage, digest)
     }
 
     fn save_artifact(&mut self, stage: StageKind, data: Json) -> Result<(), AnalyzeError> {

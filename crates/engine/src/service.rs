@@ -266,6 +266,19 @@ impl Entry {
     fn stride(&self) -> u64 {
         STRIDE_ONE / u64::from(self.opts.priority.max(1))
     }
+
+    /// Whether a claim may hand out one of this sweep's jobs now: the
+    /// sweep is active and has ready work within its concurrency quota.
+    fn claimable(&self) -> bool {
+        self.active()
+            && self.sched.as_ref().is_some_and(|s| {
+                s.ready_count() > 0
+                    && self
+                        .opts
+                        .max_concurrent
+                        .is_none_or(|cap| s.leased_count() < cap)
+            })
+    }
 }
 
 /// Schema tag of queue entries and record journals.
@@ -563,15 +576,7 @@ impl SweepRegistry {
             .entries
             .iter()
             .enumerate()
-            .filter(|(_, e)| e.active())
-            .filter(|(_, e)| {
-                e.sched.as_ref().is_some_and(|s| {
-                    s.ready_count() > 0
-                        && e.opts
-                            .max_concurrent
-                            .is_none_or(|cap| s.leased_count() < cap)
-                })
-            })
+            .filter(|(_, e)| e.claimable())
             .min_by_key(|(_, e)| (e.pass, e.seq))
             .map(|(at, _)| at)?;
         let plan = Arc::clone(
@@ -615,6 +620,15 @@ impl SweepRegistry {
                 entry.opts.batch_width,
             ),
         })
+    }
+
+    /// Whether [`SweepRegistry::claim`] would hand out a job now. Cheap
+    /// enough for every claim: a terminal sweep is passed over on its
+    /// state alone, without a look at its scheduler or records (unlike
+    /// [`SweepRegistry::metrics`]).
+    #[must_use]
+    pub fn claimable(&self) -> bool {
+        self.entries.iter().any(Entry::claimable)
     }
 
     /// Scheduler-level telemetry: queue depth, lease counts, per-sweep

@@ -13,8 +13,8 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use mbcr::stage::{
-    cache_class, path_coverage, rollup_to_json, stage_artifact_data, AnalysisSession, PipelineKind,
-    StageDigests, StageKind, StageStore,
+    cache_class, into_stage_artifact_data, path_coverage, rollup_to_json, AnalysisSession,
+    PipelineKind, StageDigests, StageKind, StageStore,
 };
 use mbcr::AnalysisConfig;
 use mbcr_ir::Inputs;
@@ -723,8 +723,7 @@ pub fn finalize_sweep(
 /// Loads and validates a content-addressed stage artifact; a torn or
 /// foreign file is never a cache hit.
 fn load_valid_stage(store: &ArtifactStore, stage: StageKind, digest: u64) -> Option<Json> {
-    let doc = StageStore::load_stage(store, digest)?;
-    stage_artifact_data(&doc, stage, digest).cloned()
+    into_stage_artifact_data(StageStore::load_stage(store, digest)?, stage, digest)
 }
 
 /// Synthesizes the result summary of a cached stage job from its stage

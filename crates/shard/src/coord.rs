@@ -1,14 +1,27 @@
 //! The sweep service: a coordinator that owns N concurrent sweeps over
 //! one shared worker fleet and one artifact store.
 //!
-//! There is no one-coordinator-one-sweep assumption: the accept loop
-//! serves **workers** (request → job → done over the framed shard
-//! protocol) on the binary listener and **clients** (submit / status /
-//! cancel / follow) on the optional HTTP gateway, and all scheduling
-//! state lives in an engine-level [`SweepRegistry`] — fair-share across
-//! sweeps, cross-sweep stage dedup by content digest, the whole queue
-//! persisted in the store so a `kill -9`'d daemon resumes every queued
-//! and mid-campaign sweep.
+//! There is no one-coordinator-one-sweep assumption: the service serves
+//! **workers** (request → job → done over the framed shard protocol) on
+//! the binary listener and **clients** (submit / status / cancel /
+//! follow) on the optional HTTP gateway, and all scheduling state lives
+//! in an engine-level [`SweepRegistry`] — fair-share across sweeps,
+//! cross-sweep stage dedup by content digest, the whole queue persisted
+//! in the store so a `kill -9`'d daemon resumes every queued and
+//! mid-campaign sweep.
+//!
+//! Connections and idle workers wait on events, not timers. Each
+//! listener has one acceptor thread blocked in `accept`, which hands
+//! every connection to its own handler thread as it arrives. A worker's
+//! request that finds nothing claimable parks on a condition variable
+//! (up to [`protocol::PARK_BOUND`]) and is answered the moment work
+//! appears. The wake policy keeps placement: a worker's `Done` wakes
+//! nobody, because that worker's own next request claims first and
+//! prefers the jobs whose inputs it already holds; a claim that leaves
+//! claimable work behind, a submission and a requeue each wake one
+//! parked claimer; a cancel and the wind-down wake them all. The run
+//! loop keeps only periodic duties: lease reaping, the autoscaler tick,
+//! finalize retries and the one-shot finish and stall checks.
 //!
 //! Two driving modes share every line of the machinery:
 //!
@@ -33,16 +46,17 @@ mod scale;
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex};
+use std::thread::Scope;
 use std::time::{Duration, Instant};
 
 use mbcr::stage::StageKind;
 use mbcr_engine::{
     execute_combine, ArtifactStore, EngineError, JobKind, JobRecord, JobStatus, JobSummary,
     Registry, RunOptions, ServiceClaim, StageStore, SubmitOptions, SweepOutcome, SweepRegistry,
-    SweepSnapshot, SweepSpec,
+    SweepSnapshot, SweepSpec, SweepState,
 };
 use mbcr_json::Json;
 
@@ -111,6 +125,8 @@ struct State {
     /// Last instant at which at least one worker was live (or work was
     /// still possible without one).
     last_live: Instant,
+    /// The worker listener's accept error; it ends the service.
+    accept_error: Option<io::Error>,
 }
 
 struct Service<'a> {
@@ -121,11 +137,18 @@ struct Service<'a> {
     /// registry and returns (`false`, the one-shot mode of [`serve`]).
     daemon: bool,
     state: Mutex<State>,
-    /// Set when the accept loop exits (success or error): handlers wind
-    /// down instead of serving.
+    /// Worker requests parked in [`Service::claim`] until something is
+    /// claimable, paired with `state`.
+    parked: Condvar,
+    /// Wakes the run loop before its next periodic duty: the one-shot
+    /// sweep finished, or the worker listener failed. Paired with
+    /// `state`.
+    run_wake: Condvar,
+    /// Set when the run loop exits (success or error): acceptors and
+    /// handlers wind down instead of serving.
     shutdown: AtomicBool,
-    /// The HTTP/JSON + SSE face (`mbcr serve --http`), polled by the
-    /// same accept loop as the binary listener.
+    /// The HTTP/JSON + SSE face (`mbcr serve --http`), with its own
+    /// acceptor thread next to the binary listener's.
     http: Option<TcpListener>,
     /// Local worker autoscaling (`mbcr serve --spawn-workers`).
     scaler: Option<scale::Autoscaler>,
@@ -247,7 +270,10 @@ impl<'a> Service<'a> {
                 leases: LeaseTable::new(settings.lease_ttl),
                 ever_connected: false,
                 last_live: Instant::now(),
+                accept_error: None,
             }),
+            parked: Condvar::new(),
+            run_wake: Condvar::new(),
             shutdown: AtomicBool::new(false),
             http: gateway.http,
             scaler: gateway
@@ -259,104 +285,139 @@ impl<'a> Service<'a> {
         }
     }
 
-    /// The accept loop: hand each connection to a handler thread, reap
-    /// expired leases, and — in drain mode — stop once the registry has
-    /// no unfinished sweep left.
+    /// Runs the service: one acceptor thread per listener, and on this
+    /// thread the periodic duties — lease reaping, the autoscaler tick,
+    /// finalize retries and, in drain mode, the stall check — until the
+    /// registry has no unfinished sweep left (drain mode) or the worker
+    /// listener fails.
     fn run(&self, listener: &TcpListener) -> Result<(), EngineError> {
-        listener.set_nonblocking(true)?;
+        // The acceptors block in `accept`; wind-down wakes them with a
+        // connection of its own.
+        listener.set_nonblocking(false)?;
         if let Some(http) = &self.http {
-            http.set_nonblocking(true)?;
+            http.set_nonblocking(false)?;
         }
         // Workers the autoscaler spawns connect back over the binary
-        // listener; an unspecified bind address (0.0.0.0) is rewritten
-        // to loopback since those workers are by definition local.
-        let connect = listener.local_addr().map(|addr| {
-            if addr.ip().is_unspecified() {
-                format!("127.0.0.1:{}", addr.port())
-            } else {
-                addr.to_string()
-            }
-        })?;
+        // listener, which they by definition reach on loopback.
+        let connect = local_dial(listener)?.to_string();
         let result = std::thread::scope(|scope| {
-            let mut next_peer = 0u64;
-            let mut next_finalize_retry = Instant::now();
-            let mut next_scale_tick = Instant::now();
-            let result = loop {
-                if !self.daemon && self.finished() {
-                    break Ok(());
-                }
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        next_peer += 1;
-                        let peer = next_peer;
-                        let service = &*self;
-                        scope.spawn(move || handle_connection(service, stream, peer));
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-                    Err(e) => break Err(EngineError::Io(e)),
-                }
-                // Drain every pending HTTP connection this tick: a load
-                // storm of short requests must not be throttled to one
-                // accept per 20 ms sleep. Accept errors are logged, not
-                // fatal — the gateway is an auxiliary face of the daemon.
-                while let Some(http) = &self.http {
-                    match http.accept() {
-                        Ok((stream, _)) => {
-                            let service = &*self;
-                            scope.spawn(move || http::handle(service, stream));
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(e) => {
-                            eprintln!("coordinator: http accept failed: {e}");
-                            break;
-                        }
-                    }
-                }
-                let now = Instant::now();
-                if let Some(scaler) = &self.scaler {
-                    if now >= next_scale_tick {
-                        next_scale_tick = now + Duration::from_secs(1);
-                        let (ready, leased) = {
-                            let state = self.lock();
-                            let metrics = state.sweeps.metrics();
-                            (metrics.ready, metrics.leased)
-                        };
-                        scaler.tick(ready, leased, now, &connect);
-                    }
-                }
-                self.reap_expired(now);
-                // A drained sweep whose manifest write failed (ENOSPC,
-                // transient store trouble) gets no further records to
-                // retry finalization from — re-attempt it here. One-shot
-                // services propagate the failure (the old `serve`
-                // semantics); daemons log and keep retrying.
-                if now >= next_finalize_retry {
-                    next_finalize_retry = now + Duration::from_secs(2);
-                    if let Err(e) = self.lock().sweeps.retry_finalize() {
-                        if self.daemon {
-                            eprintln!("coordinator: finalization still failing: {e}");
-                        } else {
-                            break Err(e);
-                        }
-                    }
-                }
-                if !self.daemon {
-                    if let Some(stall) = self.stalled(now) {
-                        break Err(stall);
-                    }
-                }
-                std::thread::sleep(Duration::from_millis(20));
-            };
-            // Handlers notice the flag within one read timeout and deliver
-            // a final Shutdown (or SSE `end`) to their peer; the scope then
-            // joins them.
-            self.shutdown.store(true, Ordering::Release);
+            scope.spawn(|| self.accept_workers(scope, listener));
+            if let Some(http) = &self.http {
+                scope.spawn(|| self.accept_http(scope, http));
+            }
+            let result = self.duties(&connect);
+            // Parked claimers answer Shutdown, idle handlers deliver a
+            // final Shutdown (or SSE `end`) within one read timeout, and
+            // the acceptors see the flag on their wake-up connection;
+            // the scope then joins them all.
+            {
+                let _state = self.lock();
+                self.shutdown.store(true, Ordering::Release);
+                self.parked.notify_all();
+            }
+            wake_acceptor(listener);
+            if let Some(http) = &self.http {
+                wake_acceptor(http);
+            }
             result
         });
         if let Some(scaler) = &self.scaler {
             scaler.shutdown();
         }
         result
+    }
+
+    /// The run loop's periodic duties, about once a second, until a
+    /// one-shot service finishes or the worker listener fails (either
+    /// wakes the loop at once).
+    fn duties(&self, connect: &str) -> Result<(), EngineError> {
+        let mut next_finalize_retry = Instant::now();
+        loop {
+            let now = Instant::now();
+            if let Some(scaler) = &self.scaler {
+                let (ready, leased) = {
+                    let state = self.lock();
+                    let metrics = state.sweeps.metrics();
+                    (metrics.ready, metrics.leased)
+                };
+                scaler.tick(ready, leased, now, connect);
+            }
+            self.reap_expired(now);
+            // A drained sweep whose manifest write failed (ENOSPC,
+            // transient store trouble) gets no further records to retry
+            // finalization from — re-attempt it here. One-shot services
+            // propagate the failure (the old `serve` semantics); daemons
+            // log and keep retrying.
+            if now >= next_finalize_retry {
+                next_finalize_retry = now + Duration::from_secs(2);
+                if let Err(e) = self.lock().sweeps.retry_finalize() {
+                    if self.daemon {
+                        eprintln!("coordinator: finalization still failing: {e}");
+                    } else {
+                        return Err(e);
+                    }
+                }
+            }
+            if !self.daemon {
+                if let Some(stall) = self.stalled(now) {
+                    return Err(stall);
+                }
+            }
+            let mut state = self.lock();
+            if let Some(e) = state.accept_error.take() {
+                return Err(EngineError::Io(e));
+            }
+            if !self.daemon && state.sweeps.finished() {
+                return Ok(());
+            }
+            let (_state, _) = self
+                .run_wake
+                .wait_timeout(state, Duration::from_secs(1))
+                .expect("state poisoned");
+        }
+    }
+
+    /// The worker listener's acceptor: blocks in `accept` and gives each
+    /// connection its own handler thread, until wind-down. An accept
+    /// error ends the service.
+    fn accept_workers<'s>(&'s self, scope: &'s Scope<'s, '_>, listener: &'s TcpListener) {
+        for peer in 1u64.. {
+            let accepted = listener.accept();
+            if self.winding_down() {
+                return;
+            }
+            match accepted {
+                Ok((stream, _)) => {
+                    scope.spawn(move || handle_connection(self, stream, peer));
+                }
+                Err(e) => {
+                    self.lock().accept_error = Some(e);
+                    self.run_wake.notify_one();
+                    return;
+                }
+            }
+        }
+    }
+
+    /// The HTTP listener's acceptor. Accept errors are logged, not fatal
+    /// — the gateway is an auxiliary face of the daemon — and paced, so
+    /// a persistent one (out of file descriptors) cannot spin.
+    fn accept_http<'s>(&'s self, scope: &'s Scope<'s, '_>, listener: &'s TcpListener) {
+        loop {
+            let accepted = listener.accept();
+            if self.winding_down() {
+                return;
+            }
+            match accepted {
+                Ok((stream, _)) => {
+                    scope.spawn(move || http::handle(self, stream));
+                }
+                Err(e) => {
+                    eprintln!("coordinator: http accept failed: {e}");
+                    std::thread::sleep(Duration::from_millis(20));
+                }
+            }
+        }
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, State> {
@@ -391,10 +452,6 @@ impl<'a> Service<'a> {
         }
     }
 
-    fn finished(&self) -> bool {
-        self.lock().sweeps.finished()
-    }
-
     fn winding_down(&self) -> bool {
         self.shutdown.load(Ordering::Acquire)
     }
@@ -410,8 +467,19 @@ impl<'a> Service<'a> {
         state.leases.touch(worker, Instant::now());
     }
 
+    /// Wakes one parked claimer when a claim would find work. Called with
+    /// the state lock held, after a change that can make work claimable
+    /// for a worker other than the one that caused it.
+    fn wake_one_if_claimable(&self, state: &State) {
+        if state.sweeps.claimable() {
+            self.parked.notify_one();
+        }
+    }
+
     /// A worker's connection ended (or it drained): evict it and requeue
-    /// its leases across every sweep.
+    /// its leases across every sweep. One parked claimer wakes for the
+    /// requeued work — or for work the worker's last `Done` released and
+    /// it will now never claim itself.
     fn drop_worker(&self, worker: u64, how: &str) {
         self.residency_lock().remove(&worker);
         let mut state = self.lock();
@@ -424,19 +492,24 @@ impl<'a> Service<'a> {
                 requeued.len()
             );
         }
+        self.wake_one_if_claimable(&state);
     }
 
     /// Requeues the leases of workers whose TTL lapsed (hung process,
     /// partitioned host — connection loss is handled by `drop_worker`).
     fn reap_expired(&self, now: Instant) {
         let mut state = self.lock();
-        for worker in state.leases.expired(now) {
+        let expired = state.leases.expired(now);
+        for &worker in &expired {
             let requeued = state.sweeps.requeue_worker(worker);
             mbcr_obs::count("mbcr_lease_requeues_total", &[], requeued.len() as u64);
             eprintln!(
                 "coordinator: worker {worker} lease expired with {} job(s); requeued",
                 requeued.len()
             );
+        }
+        if !expired.is_empty() {
+            self.wake_one_if_claimable(&state);
         }
     }
 
@@ -482,6 +555,10 @@ impl<'a> Service<'a> {
     }
 
     /// Journals (outside the lock, persistent sweeps only), then records.
+    /// A record wakes no parked claimer: the worker that reported it
+    /// claims next, and placement prefers it for the dependents whose
+    /// inputs it holds. Only a one-shot service that just finished wakes
+    /// its run loop.
     fn record_journaled(&self, sweep: &str, job: usize, persist: bool, record: JobRecord) {
         if persist {
             if let Err(e) = SweepRegistry::journal_record(self.store, sweep, job, &record) {
@@ -495,12 +572,17 @@ impl<'a> Service<'a> {
         if let Err(e) = state.sweeps.record(sweep, job, record, true) {
             eprintln!("coordinator: finalizing after job {job} of {sweep} failed: {e}");
         }
+        if !self.daemon && state.sweeps.finished() {
+            self.run_wake.notify_one();
+        }
     }
 
     /// Answers one job request: skips cached nodes, runs combine nodes
     /// inline, and ships the first stage node that actually needs a
-    /// worker. `Wait` when everything runnable is leased elsewhere (or a
-    /// daemon is idle), `Shutdown` when a one-shot service drained.
+    /// worker. With nothing claimable the request parks (the state lock
+    /// released) until a wake-up finds work, answering `Wait` only once
+    /// [`protocol::PARK_BOUND`] passed without any; `Shutdown` when the
+    /// service winds down or a one-shot service drained.
     ///
     /// Only the lease transition itself holds the state lock — cache
     /// probes, combine writes and wire-job assembly all do store I/O and
@@ -509,30 +591,43 @@ impl<'a> Service<'a> {
     /// claimed node is leased to this worker: nobody else touches it
     /// until it is recorded or the lease is revoked.
     fn claim(&self, worker: u64) -> Message {
+        let deadline = Instant::now() + protocol::PARK_BOUND;
         loop {
             // Residency is cloned before the state lock so the affinity
             // closure touches no second lock while scoring ready jobs.
+            // It stays exact across a park: only this worker's own
+            // handler — the one parked here — changes its residency.
             let resident = self.resident_digests(worker);
             let claim = {
                 let mut state = self.lock();
-                if self.winding_down() {
-                    return Message::Shutdown;
-                }
-                let claimed = match &resident {
-                    Some(held) => {
-                        let held = |digest: u64| held.contains(&digest);
-                        state.sweeps.claim_with(worker, Some(&held))
+                loop {
+                    if self.winding_down() {
+                        return Message::Shutdown;
                     }
-                    None => state.sweeps.claim(worker),
-                };
-                match claimed {
-                    Some(claim) => claim,
-                    None => {
-                        if !self.daemon && state.sweeps.finished() {
-                            return Message::Shutdown;
+                    let claimed = match &resident {
+                        Some(held) => {
+                            let held = |digest: u64| held.contains(&digest);
+                            state.sweeps.claim_with(worker, Some(&held))
                         }
+                        None => state.sweeps.claim(worker),
+                    };
+                    if let Some(claim) = claimed {
+                        // Hand what this claim left behind to a parked peer.
+                        self.wake_one_if_claimable(&state);
+                        break claim;
+                    }
+                    if !self.daemon && state.sweeps.finished() {
+                        return Message::Shutdown;
+                    }
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
                         return Message::Wait;
                     }
+                    state = self
+                        .parked
+                        .wait_timeout(state, left)
+                        .expect("state poisoned")
+                        .0;
                 }
             };
             if !claim.force {
@@ -723,14 +818,25 @@ impl<'a> Service<'a> {
     }
 
     /// Handles a client submission (`POST /v1/sweeps`):
-    /// durable-then-acknowledged.
+    /// durable-then-acknowledged. Wakes one parked claimer for its work.
     fn submit_sweep(&self, spec: &Json, opts: SubmitOptions) -> Result<String, String> {
         let spec = SweepSpec::from_json(spec).map_err(|e| format!("bad sweep spec: {e}"))?;
         let mut state = self.lock();
-        state
+        let id = state
             .sweeps
             .submit(spec, opts, self.registry)
-            .map_err(|e| e.to_string())
+            .map_err(|e| e.to_string())?;
+        self.wake_one_if_claimable(&state);
+        Ok(id)
+    }
+
+    /// Handles a client cancel (`DELETE /v1/sweeps/{id}`). Every parked
+    /// claimer wakes: the cancel may release jobs of other sweeps that
+    /// were parked behind this one's in-flight stages.
+    fn cancel_sweep(&self, id: &str) -> Result<SweepState, EngineError> {
+        let canceled = self.lock().sweeps.cancel(id);
+        self.parked.notify_all();
+        canceled
     }
 
     /// The follow loop behind SSE followers: emit each changed snapshot
@@ -775,6 +881,27 @@ impl<'a> Service<'a> {
             }
             std::thread::sleep(FOLLOW_TICK);
         }
+    }
+}
+
+/// Where a local process reaches `listener`: its own address, with an
+/// unspecified bind (`0.0.0.0`, `::`) rewritten to loopback.
+fn local_dial(listener: &TcpListener) -> io::Result<SocketAddr> {
+    let mut addr = listener.local_addr()?;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    Ok(addr)
+}
+
+/// Unblocks the acceptor waiting in `accept` on `listener`: the
+/// connection lands, the acceptor sees the wind-down flag and returns.
+fn wake_acceptor(listener: &TcpListener) {
+    if let Err(e) = local_dial(listener).and_then(TcpStream::connect) {
+        eprintln!("coordinator: waking an acceptor failed: {e}");
     }
 }
 

@@ -4,11 +4,12 @@
 //! workers alone.
 //!
 //! Every route is a thin adapter over the [`Service`] the worker loop
-//! drives — one registry, one durability contract. Handlers run in the
-//! accept loop's thread scope, one request per connection; a slow or
-//! hostile peer can stall only its own handler thread, never the claim
-//! loop, because every route takes the state lock just long enough for
-//! an in-memory read.
+//! drives — one registry, one durability contract. The gateway's
+//! acceptor thread blocks in `accept` and gives each connection its own
+//! handler thread in the service's thread scope, one request per
+//! connection; a slow or hostile peer can stall only its own handler
+//! thread, never the claim loop, because every route takes the state
+//! lock just long enough for an in-memory read.
 //!
 //! Routes:
 //!
@@ -271,8 +272,7 @@ fn snapshot(service: &Service<'_>, stream: &mut TcpStream, id: &str) -> io::Resu
 /// and answers `200` (idempotent); an unknown id is `404`; a cancel the
 /// store failed to persist is `500`.
 fn cancel(service: &Service<'_>, stream: &mut TcpStream, id: &str) -> io::Result<()> {
-    let result = { service.lock().sweeps.cancel(id) };
-    match result {
+    match service.cancel_sweep(id) {
         Ok(state) => respond_json(
             stream,
             200,

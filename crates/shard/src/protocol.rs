@@ -16,6 +16,7 @@
 //! `None`); EOF anywhere inside a frame is an error.
 
 use std::io::{self, Read, Write};
+use std::time::Duration;
 
 use mbcr_engine::{
     AnalysisKnobs, CampaignProgress, JobSpec, JobSummary, SweepSnapshot, SweepState, SweepStatus,
@@ -24,14 +25,30 @@ use mbcr_json::{fnv1a_bytes, Json, Serialize, FNV_OFFSET};
 
 /// Protocol identity exchanged in the handshake: wire layout + the engine
 /// schema whose artifacts travel over it. Either side rejects a peer with
-/// a different spelling. (`/2` since the service redesign: jobs are
-/// sweep-tagged and self-describing. `/3` since the gateway: submissions
-/// carry priority and concurrency-quota knobs. `/4` since clients moved
-/// to HTTP: the grammar carries worker frames only.)
+/// a different spelling. Versions:
+///
+/// * `/2` — the service redesign: jobs are sweep-tagged and
+///   self-describing.
+/// * `/3` — the gateway: submissions carry priority and
+///   concurrency-quota knobs.
+/// * `/4` — clients moved to HTTP: the grammar carries worker frames
+///   only.
+/// * `/5` — parked claims: the service holds a [`Message::Request`] for
+///   up to [`PARK_BOUND`] before answering [`Message::Wait`], so a worker
+///   asks again at once. A `/5` worker would spin against a `/4` service,
+///   which answers `Wait` immediately; the handshake refuses the pair.
 #[must_use]
 pub fn wire_schema() -> String {
-    format!("mbcr-shard/4|{}", mbcr_engine::SCHEMA)
+    format!("mbcr-shard/5|{}", mbcr_engine::SCHEMA)
 }
+
+/// How long the service parks a [`Message::Request`] that finds nothing
+/// claimable before it answers [`Message::Wait`]. Work that becomes
+/// claimable meanwhile (a submission, a requeue, a sibling's claim that
+/// leaves jobs behind) is handed out at once. The bound keeps an idle
+/// worker's SIGTERM drain prompt, lets the service read the heartbeats
+/// queued behind the request, and stays far inside the lease TTL.
+pub const PARK_BOUND: Duration = Duration::from_secs(1);
 
 /// Magic prefix of every frame.
 pub const FRAME_MAGIC: &[u8; 4] = b"MBW1";
@@ -298,7 +315,9 @@ pub enum Message {
     Request,
     /// Service → worker: run this stage job.
     Job(Box<WireJob>),
-    /// Service → worker: nothing is ready; ask again shortly.
+    /// Service → worker: the request stayed parked for [`PARK_BOUND`]
+    /// and nothing became claimable; ask again at once (the park is the
+    /// backoff).
     Wait,
     /// Service → worker: no further work will come; disconnect.
     Shutdown,

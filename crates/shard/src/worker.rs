@@ -12,6 +12,11 @@
 //! echoing its tag, which is what lets one fleet serve many concurrent
 //! sweeps of a service daemon.
 //!
+//! An idle slot neither sleeps nor polls. When nothing is claimable the
+//! coordinator parks the request and answers with a job the moment one
+//! appears; only after [`protocol::PARK_BOUND`] with nothing does it say
+//! [`Message::Wait`], and the slot asks again at once.
+//!
 //! Campaign checkpoints stream back to the coordinator as they are
 //! written locally, so coordinator-side resume granularity equals the
 //! single-process `checkpoint_interval` guarantee; a send failure aborts
@@ -24,7 +29,8 @@
 //! and the slot sends a [`Message::Drain`] frame before disconnecting,
 //! so the coordinator requeues its leases immediately (the next claimer
 //! adopts the campaign from the flushed prefix) instead of waiting for
-//! connection teardown or a lease TTL.
+//! connection teardown or a lease TTL. An idle slot drains within one
+//! park bound: the `Wait` that ends its parked request is its cue.
 //!
 //! A heartbeat thread per connection keeps the lease alive through long,
 //! otherwise-silent stages (convergence can run minutes without a
@@ -34,6 +40,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -45,8 +52,6 @@ use crate::protocol::{self, JobResult, Message, WireJob};
 
 /// How often an executing worker proves liveness.
 const HEARTBEAT_EVERY: Duration = Duration::from_millis(1000);
-/// Backoff between job requests when nothing is ready.
-const WAIT_BACKOFF: Duration = Duration::from_millis(100);
 /// Connection retry budget: a worker may start before its coordinator.
 const CONNECT_RETRIES: usize = 80;
 const CONNECT_BACKOFF: Duration = Duration::from_millis(250);
@@ -241,14 +246,14 @@ fn worker_slot(addr: &str) -> io::Result<WorkerOutcome> {
     }
 
     let registry = Registry::malardalen();
-    let stop = Arc::new(AtomicBool::new(false));
+    // Dropping `stop` ends the heartbeat thread at once, not at its next
+    // beat, so a slot leaves as soon as its loop does.
+    let (stop, stopped) = mpsc::channel::<()>();
     let heartbeat = {
         let writer = Arc::clone(&writer);
-        let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
-            while !stop.load(Ordering::Acquire) {
-                std::thread::sleep(HEARTBEAT_EVERY);
-                if stop.load(Ordering::Acquire) || send(&writer, &Message::Heartbeat).is_err() {
+            while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(HEARTBEAT_EVERY) {
+                if send(&writer, &Message::Heartbeat).is_err() {
                     break;
                 }
                 mbcr_obs::count("mbcr_heartbeats_sent_total", &[], 1);
@@ -273,7 +278,9 @@ fn worker_slot(addr: &str) -> io::Result<WorkerOutcome> {
                 // A vanished coordinator after a finalized sweep is a
                 // normal ending — it may exit before every worker polls.
                 None | Some(Message::Shutdown) => return Ok(outcome),
-                Some(Message::Wait) => std::thread::sleep(WAIT_BACKOFF),
+                // The request sat parked for the bound and nothing came:
+                // the park was the backoff, so ask again at once.
+                Some(Message::Wait) => {}
                 Some(Message::Job(job)) => {
                     let result = run_job(*job, &registry, &writer, &cache);
                     if drain_aborted(&result) {
@@ -299,7 +306,7 @@ fn worker_slot(addr: &str) -> io::Result<WorkerOutcome> {
             }
         }
     })();
-    stop.store(true, Ordering::Release);
+    drop(stop);
     let _ = heartbeat.join();
     run
 }
