@@ -1372,30 +1372,12 @@ pub fn path_coverage(
     inputs: &[Inputs],
     store: Option<&dyn StageStore>,
 ) -> Result<PathCoverage, AnalyzeError> {
-    let stage = PathCoverageStage;
-    let digest = path_coverage_digest(program, inputs);
-    if let Some(store) = store {
-        if let Some(doc) = store.load_stage(digest) {
-            if let Some(out) = stage_artifact_data(&doc, StageKind::PathCoverage, digest)
-                .and_then(|d| stage.decode(d))
-            {
-                return Ok(out);
-            }
-        }
-    }
-    let out = stage.run(PathCoverageInput { program, inputs })?;
-    if let Some(store) = store {
-        let doc = Json::Obj(vec![
-            ("schema".to_string(), STAGE_SCHEMA.into()),
-            ("stage".to_string(), StageKind::PathCoverage.name().into()),
-            ("digest".to_string(), Json::UInt(digest)),
-            ("data".to_string(), stage.encode(&out)),
-        ]);
-        store
-            .save_stage(digest, &doc)
-            .map_err(|e| AnalyzeError::Store(format!("path_coverage: {e}")))?;
-    }
-    Ok(out)
+    load_or_run(
+        &PathCoverageStage,
+        path_coverage_digest(program, inputs),
+        PathCoverageInput { program, inputs },
+        store,
+    )
 }
 
 /// The JSON shape of a classification [`Rollup`] used in stage artifacts,
@@ -1513,30 +1495,48 @@ pub fn cache_class(
     dl1: CacheGeometry,
     store: Option<&dyn StageStore>,
 ) -> Result<Rollup, AnalyzeError> {
-    let stage = CacheClassStage;
-    let digest = cache_class_digest(program, il1, dl1);
-    if let Some(store) = store {
-        if let Some(doc) = store.load_stage(digest) {
-            if let Some(out) = stage_artifact_data(&doc, StageKind::CacheClass, digest)
-                .and_then(|d| stage.decode(d))
-            {
-                return Ok(out);
-            }
-        }
+    load_or_run(
+        &CacheClassStage,
+        cache_class_digest(program, il1, dl1),
+        CacheClassInput { program, il1, dl1 },
+        store,
+    )
+}
+
+/// Loads `stage`'s artifact stored under `digest`, or runs the stage on
+/// `input` and persists the artifact there (without a store it just runs).
+fn load_or_run<'i, S: AnalysisStage<'i>>(
+    stage: &S,
+    digest: u64,
+    input: S::Input,
+    store: Option<&dyn StageStore>,
+) -> Result<S::Output, AnalyzeError> {
+    let Some(store) = store else {
+        return stage.run(input);
+    };
+    let kind = stage.kind();
+    if let Some(out) = store
+        .load_stage(digest)
+        .and_then(|doc| stage.decode(stage_artifact_data(&doc, kind, digest)?))
+    {
+        return Ok(out);
     }
-    let out = stage.run(CacheClassInput { program, il1, dl1 })?;
-    if let Some(store) = store {
-        let doc = Json::Obj(vec![
-            ("schema".to_string(), STAGE_SCHEMA.into()),
-            ("stage".to_string(), StageKind::CacheClass.name().into()),
-            ("digest".to_string(), Json::UInt(digest)),
-            ("data".to_string(), stage.encode(&out)),
-        ]);
-        store
-            .save_stage(digest, &doc)
-            .map_err(|e| AnalyzeError::Store(format!("cache_class: {e}")))?;
-    }
+    let out = stage.run(input)?;
+    store
+        .save_stage(digest, &envelope(kind, digest, stage.encode(&out)))
+        .map_err(|e| AnalyzeError::Store(format!("{}: {e}", kind.name())))?;
     Ok(out)
+}
+
+/// The stored document of a stage artifact: the `data` payload in the
+/// schema/stage/digest envelope that [`stage_artifact_data`] validates.
+fn envelope(stage: StageKind, digest: u64, data: Json) -> Json {
+    Json::Obj(vec![
+        ("schema".to_string(), STAGE_SCHEMA.into()),
+        ("stage".to_string(), stage.name().into()),
+        ("digest".to_string(), Json::UInt(digest)),
+        ("data".to_string(), data),
+    ])
 }
 
 /// Extracts the payload of a stored stage artifact after validating its
@@ -1936,14 +1936,8 @@ impl<'a> AnalysisSession<'a> {
         let Some(digest) = self.digests.get(stage) else {
             return Ok(());
         };
-        let doc = Json::Obj(vec![
-            ("schema".to_string(), STAGE_SCHEMA.into()),
-            ("stage".to_string(), stage.name().into()),
-            ("digest".to_string(), Json::UInt(digest)),
-            ("data".to_string(), data),
-        ]);
         store
-            .save_stage(digest, &doc)
+            .save_stage(digest, &envelope(stage, digest, data))
             .map_err(|e| AnalyzeError::Store(format!("{}: {e}", stage.name())))
     }
 

@@ -36,7 +36,8 @@
 use std::fmt;
 
 use crate::expr::const_eval;
-use crate::layout::INSTRS_PER_LINE;
+use crate::footprint::Token;
+use crate::layout::quantize;
 use crate::paths::{Decision, PathRecord};
 use crate::program::Program;
 use crate::stmt::Stmt;
@@ -92,7 +93,9 @@ impl std::error::Error for PathError {}
 /// slots it fetches and how many data accesses it emits. Both are exact —
 /// for any run following the path, `instr_fetches` equals the trace's fetch
 /// count and `data_accesses` its read+write count (expressions have no
-/// short-circuit operators, so access counts are path-determined).
+/// short-circuit operators, so access counts are path-determined). Each
+/// executed span adds its own [`crate::Token`]'s counts, the instruction
+/// count line-quantized as the layout emits it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PathSignature {
     /// Instruction fetches (line-quantized spans, as emitted).
@@ -366,20 +369,10 @@ struct Builder {
     saturated: bool,
 }
 
-fn quant(instrs: u32) -> u64 {
-    u64::from(instrs.next_multiple_of(INSTRS_PER_LINE.max(1)))
-}
-
-fn leaf_data(s: &Stmt) -> u64 {
-    match s {
-        Stmt::Assign(_, e) => u64::from(e.load_count()),
-        Stmt::Store { index, value, .. } => {
-            u64::from(index.load_count()) + u64::from(value.load_count()) + 1
-        }
-        Stmt::Touch { refs, .. } => refs.len() as u64,
-        Stmt::Nop { .. } => 0,
-        _ => unreachable!("leaf_data on a structured statement"),
-    }
+/// A span's `(instruction fetches, data accesses)`: its line-quantized
+/// instruction count and its reference count.
+fn counts(t: &Token) -> (u64, u64) {
+    (u64::from(quantize(t.instrs)), t.data.len() as u64)
 }
 
 impl Builder {
@@ -444,17 +437,15 @@ impl Builder {
     }
 
     fn build_shape(&mut self, s: &Stmt) -> Shape {
+        let (instrs, data) = counts(&s.own_token());
         match s {
             Stmt::Assign(..) | Stmt::Store { .. } | Stmt::Touch { .. } | Stmt::Nop { .. } => {
-                Shape::Leaf {
-                    instrs: quant(s.own_instr_count()),
-                    data: leaf_data(s),
-                }
+                Shape::Leaf { instrs, data }
             }
             Stmt::If {
-                cond,
                 then_branch,
                 else_branch,
+                ..
             } => {
                 let id = self.next_id;
                 self.next_id += 1;
@@ -462,17 +453,13 @@ impl Builder {
                 let else_s = self.build_seq(else_branch);
                 Shape::If {
                     id,
-                    header_instrs: quant(s.own_instr_count()),
-                    header_data: u64::from(cond.load_count()),
+                    header_instrs: instrs,
+                    header_data: data,
                     then_s,
                     else_s,
                 }
             }
-            Stmt::While {
-                cond,
-                max_iter,
-                body,
-            } => {
+            Stmt::While { max_iter, body, .. } => {
                 let id = self.next_id;
                 self.next_id += 1;
                 let body_s = self.build_seq(body);
@@ -480,8 +467,8 @@ impl Builder {
                 let paths = self.loop_weight(body_s.paths, iters);
                 Shape::Loop {
                     id,
-                    check_instrs: quant(s.own_instr_count()),
-                    check_data: u64::from(cond.load_count()),
+                    check_instrs: instrs,
+                    check_data: data,
                     init_instrs: 0,
                     init_data: 0,
                     iters,
@@ -507,12 +494,13 @@ impl Builder {
                     _ => IterSet::UpTo(*max_iter),
                 };
                 let paths = self.loop_weight(body_s.paths, iters);
+                let (check_instrs, check_data) = counts(&Token::for_iter());
                 Shape::Loop {
                     id,
-                    check_instrs: quant(2),
-                    check_data: 0,
-                    init_instrs: quant(s.own_instr_count()),
-                    init_data: u64::from(from.load_count()) + u64::from(to.load_count()),
+                    check_instrs,
+                    check_data,
+                    init_instrs: instrs,
+                    init_data: data,
                     iters,
                     body: body_s,
                     paths,

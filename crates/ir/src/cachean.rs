@@ -51,6 +51,14 @@
 //! | [`Classification::FirstMiss`] | `FM` | at most one miss per entry of its scope |
 //! | [`Classification::NotClassified`] | `NC` | no guarantee |
 //!
+//! # Access sites
+//!
+//! A span's sites are its instruction fetch slots and one data site per
+//! reference of its statement's own token ([`crate::Token`], the footprint
+//! model PUB, the lint verifier and the path signatures read too). The
+//! site walk below checks that model against the interpreter on every
+//! validation.
+//!
 //! # Simulator cross-validation
 //!
 //! [`validate_classification`] runs each concrete input through
@@ -72,6 +80,7 @@ use mbcr_cache::{Cache, CacheGeometry, PlacementPolicy, ReplacementPolicy};
 use mbcr_trace::{Access, AccessKind, Address};
 
 use crate::expr::{const_eval, Expr};
+use crate::footprint::Token;
 use crate::interp::{execute, Inputs, InterpError, Run};
 use crate::layout::{layout_program, InstrSpan, LayoutNode};
 use crate::paths::Decision;
@@ -293,11 +302,12 @@ pub struct CacheClassification {
 }
 
 // ---------------------------------------------------------------------------
-// Site table: a static mirror of the interpreter's emission order.
+// Site table: the footprint model's references, in emission order.
 // ---------------------------------------------------------------------------
 
-/// Per-statement site structure, mirroring [`LayoutNode`]. Leaf/header site
-/// id lists are in exact emission order, so a walk that takes the branches
+/// Per-statement site structure, in the shape of [`LayoutNode`]. Each
+/// span's sites come from its statement's own token ([`crate::Token`]),
+/// and leaf/header site id lists are in exact emission order, so a walk that takes the branches
 /// and trip counts of a run's [`crate::PathRecord`] emits the run's
 /// accesses site by site (see [`SiteWalk`]).
 enum SiteNode {
@@ -324,25 +334,6 @@ enum SiteNode {
 struct SiteTable {
     sites: Vec<AccessSite>,
     tree: Vec<SiteNode>,
-}
-
-/// Mirrors the interpreter's `Cursor`: fetch sites interleave with data
-/// sites exactly where `eval` calls `Cursor::fetch`, then the span's
-/// remaining slots trail.
-struct SpanSites {
-    span: InstrSpan,
-    next: u32,
-    ids: Vec<u32>,
-}
-
-impl SpanSites {
-    fn new(span: InstrSpan) -> Self {
-        Self {
-            span,
-            next: 0,
-            ids: Vec::new(),
-        }
-    }
 }
 
 /// The static address set of a `Load` or `Store` access to `decl[idx]`:
@@ -393,40 +384,44 @@ impl SiteBuilder<'_> {
         id
     }
 
-    fn fetch(&mut self, c: &mut SpanSites, construct: Option<u32>) {
-        if c.next < c.span.count {
-            let id = self.push_site(
-                AccessKind::InstrFetch,
-                SiteLoc::Addr(c.span.instr_addr(c.next)),
-                construct,
-            );
-            c.ids.push(id);
-            c.next += 1;
-        }
-    }
-
-    fn finish(&mut self, c: &mut SpanSites, construct: Option<u32>) {
-        while c.next < c.span.count {
-            self.fetch(c, construct);
-        }
-    }
-
-    fn expr_sites(&mut self, e: &Expr, c: &mut SpanSites, construct: Option<u32>) {
-        match e {
-            Expr::Const(_) | Expr::Var(_) => {}
-            Expr::Load(a, idx) => {
-                self.expr_sites(idx, c, construct);
-                self.fetch(c, construct);
-                let loc = load_loc(&self.program.arrays()[a.0 as usize], idx);
-                let id = self.push_site(AccessKind::Read, loc, construct);
-                c.ids.push(id);
+    /// The sites of one span of statement `s` with footprint `tok`, in the
+    /// interpreter's emission order: a fetch slot then a read for each
+    /// reference (the load instruction, then its access; a touch's reads
+    /// wrap like the interpreter's), then the span's remaining fetch slots,
+    /// then a store's target write.
+    fn span_sites(
+        &mut self,
+        s: &Stmt,
+        tok: Token,
+        span: InstrSpan,
+        construct: Option<u32>,
+    ) -> Vec<u32> {
+        let mut refs = tok.data;
+        let write = match s {
+            Stmt::Store { .. } => refs.pop(),
+            _ => None,
+        };
+        let mut ids = Vec::new();
+        let mut slots = (0..span.count).map(|i| SiteLoc::Addr(span.instr_addr(i)));
+        for (a, idx) in &refs {
+            if let Some(slot) = slots.next() {
+                ids.push(self.push_site(AccessKind::InstrFetch, slot, construct));
             }
-            Expr::Un(_, e) => self.expr_sites(e, c, construct),
-            Expr::Bin(_, l, r) => {
-                self.expr_sites(l, c, construct);
-                self.expr_sites(r, c, construct);
-            }
+            let decl = &self.program.arrays()[a.0 as usize];
+            let loc = match s {
+                Stmt::Touch { .. } => touch_loc(decl, idx),
+                _ => load_loc(decl, idx),
+            };
+            ids.push(self.push_site(AccessKind::Read, loc, construct));
         }
+        for slot in slots {
+            ids.push(self.push_site(AccessKind::InstrFetch, slot, construct));
+        }
+        if let Some((a, idx)) = write {
+            let loc = load_loc(&self.program.arrays()[a.0 as usize], &idx);
+            ids.push(self.push_site(AccessKind::Write, loc, construct));
+        }
+        ids
     }
 
     fn build(&mut self, stmts: &[Stmt], nodes: &[LayoutNode]) -> Vec<SiteNode> {
@@ -439,52 +434,14 @@ impl SiteBuilder<'_> {
 
     fn node(&mut self, s: &Stmt, n: &LayoutNode) -> SiteNode {
         match (s, n) {
-            (Stmt::Assign(_, e), LayoutNode::Leaf(span)) => {
-                let mut c = SpanSites::new(*span);
-                self.expr_sites(e, &mut c, None);
-                self.finish(&mut c, None);
-                SiteNode::Leaf(c.ids)
-            }
-            (
-                Stmt::Store {
-                    array,
-                    index,
-                    value,
-                },
-                LayoutNode::Leaf(span),
-            ) => {
-                let mut c = SpanSites::new(*span);
-                self.expr_sites(index, &mut c, None);
-                self.expr_sites(value, &mut c, None);
-                self.finish(&mut c, None);
-                // The interpreter pushes the write access after the span's
-                // trailing fetches, so the write site comes last.
-                let loc = load_loc(&self.program.arrays()[array.0 as usize], index);
-                let id = self.push_site(AccessKind::Write, loc, None);
-                c.ids.push(id);
-                SiteNode::Leaf(c.ids)
-            }
-            (Stmt::Touch { refs, .. }, LayoutNode::Leaf(span)) => {
-                let mut c = SpanSites::new(*span);
-                for (a, idx) in refs {
-                    self.fetch(&mut c, None);
-                    let loc = touch_loc(&self.program.arrays()[a.0 as usize], idx);
-                    let id = self.push_site(AccessKind::Read, loc, None);
-                    c.ids.push(id);
-                }
-                self.finish(&mut c, None);
-                SiteNode::Leaf(c.ids)
-            }
-            (Stmt::Nop { .. }, LayoutNode::Leaf(span)) => {
-                let mut c = SpanSites::new(*span);
-                self.finish(&mut c, None);
-                SiteNode::Leaf(c.ids)
+            (_, LayoutNode::Leaf(span)) => {
+                SiteNode::Leaf(self.span_sites(s, s.own_token(), *span, None))
             }
             (
                 Stmt::If {
-                    cond,
                     then_branch,
                     else_branch,
+                    ..
                 },
                 LayoutNode::If {
                     id,
@@ -493,22 +450,20 @@ impl SiteBuilder<'_> {
                     else_branch: en,
                 },
             ) => {
-                let mut c = SpanSites::new(*header);
-                self.expr_sites(cond, &mut c, Some(*id));
-                self.finish(&mut c, Some(*id));
+                let header = self.span_sites(s, s.own_token(), *header, Some(*id));
                 self.ctx.push(*id);
                 let t = self.build(then_branch, tn);
                 let e = self.build(else_branch, en);
                 self.ctx.pop();
                 SiteNode::If {
                     construct: *id,
-                    header: c.ids,
+                    header,
                     then_branch: t,
                     else_branch: e,
                 }
             }
             (
-                Stmt::While { cond, body, .. },
+                Stmt::While { body, .. },
                 LayoutNode::While {
                     id,
                     header,
@@ -516,21 +471,19 @@ impl SiteBuilder<'_> {
                 },
             ) => {
                 self.loop_stack.push(*id);
-                let mut c = SpanSites::new(*header);
-                self.expr_sites(cond, &mut c, Some(*id));
-                self.finish(&mut c, Some(*id));
+                let header = self.span_sites(s, s.own_token(), *header, Some(*id));
                 self.ctx.push(*id);
                 let b = self.build(body, bn);
                 self.ctx.pop();
                 self.loop_stack.pop();
                 SiteNode::While {
                     construct: *id,
-                    header: c.ids,
+                    header,
                     body: b,
                 }
             }
             (
-                Stmt::For { from, to, body, .. },
+                Stmt::For { body, .. },
                 LayoutNode::For {
                     id,
                     init,
@@ -539,20 +492,16 @@ impl SiteBuilder<'_> {
                 },
             ) => {
                 self.loop_stack.push(*id);
-                let mut ci = SpanSites::new(*init);
-                self.expr_sites(from, &mut ci, Some(*id));
-                self.expr_sites(to, &mut ci, Some(*id));
-                self.finish(&mut ci, Some(*id));
-                let mut cit = SpanSites::new(*iter);
-                self.finish(&mut cit, Some(*id));
+                let init = self.span_sites(s, s.own_token(), *init, Some(*id));
+                let iter = self.span_sites(s, Token::for_iter(), *iter, Some(*id));
                 self.ctx.push(*id);
                 let b = self.build(body, bn);
                 self.ctx.pop();
                 self.loop_stack.pop();
                 SiteNode::For {
                     construct: *id,
-                    init: ci.ids,
-                    iter: cit.ids,
+                    init,
+                    iter,
                     body: b,
                 }
             }

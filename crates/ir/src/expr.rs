@@ -126,7 +126,9 @@ pub fn const_eval(e: &Expr) -> Option<i64> {
 /// let i = b.var("i");
 /// // a[i] + 1 < 10
 /// let e = Expr::load(a, Expr::var(i)).add(Expr::c(1)).lt(Expr::c(10));
-/// assert_eq!(e.load_count(), 1);
+/// let mut loads = 0;
+/// e.for_each_load(&mut |_, _| loads += 1);
+/// assert_eq!(loads, 1);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Expr {
@@ -277,18 +279,6 @@ impl Expr {
         Expr::Un(UnOp::LNot, Box::new(self))
     }
 
-    /// Number of [`Expr::Load`] nodes — every one of them is evaluated, so
-    /// this is exactly the number of data reads the expression emits.
-    #[must_use]
-    pub fn load_count(&self) -> u32 {
-        match self {
-            Expr::Const(_) | Expr::Var(_) => 0,
-            Expr::Load(_, idx) => 1 + idx.load_count(),
-            Expr::Un(_, e) => e.load_count(),
-            Expr::Bin(_, l, r) => l.load_count() + r.load_count(),
-        }
-    }
-
     /// Instruction count of the compiled expression under a simple RISC
     /// cost model: constants materialize with one instruction, register
     /// reads are free, a load costs address generation plus the load
@@ -308,7 +298,8 @@ impl Expr {
         }
     }
 
-    /// Visits every `Load` node in evaluation order.
+    /// Visits every `Load` node in evaluation order. Every one of them is
+    /// evaluated, so these are exactly the data reads the expression emits.
     pub fn for_each_load(&self, f: &mut impl FnMut(ArrayId, &Expr)) {
         match self {
             Expr::Const(_) | Expr::Var(_) => {}
@@ -380,14 +371,6 @@ impl fmt::Display for Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn load_count_nested() {
-        let a = ArrayId(0);
-        // a[a[0] + a[1]] -> 3 loads.
-        let e = Expr::load(a, Expr::load(a, Expr::c(0)).add(Expr::load(a, Expr::c(1))));
-        assert_eq!(e.load_count(), 3);
-    }
 
     #[test]
     fn for_each_load_order_is_eval_order() {

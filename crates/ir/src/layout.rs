@@ -3,14 +3,16 @@
 //! Instruction-cache behaviour depends on where code lives in memory. The
 //! layouter walks the statement tree in source order and assigns every
 //! statement an [`InstrSpan`] — a run of [`INSTR_BYTES`]-byte instruction
-//! slots — mirroring how a simple compiler would emit straight-line code:
-//! a conditional's header (compare + branch) is followed by the then-branch,
-//! then the else-branch; loop headers precede their bodies and are re-fetched
-//! on every iteration check.
+//! slots sized by the statement's own token ([`crate::Token`]) — the way a
+//! simple compiler would emit straight-line code: a conditional's header
+//! (compare + branch) is followed by the then-branch, then the else-branch;
+//! loop headers precede their bodies and are re-fetched on every iteration
+//! check.
 //!
 //! The layout also assigns each conditional and loop a stable pre-order id,
 //! used by path records ([`crate::PathRecord`]).
 
+use crate::footprint::FOR_ITER_INSTRS;
 use crate::program::{Program, CODE_BASE, INSTR_BYTES};
 use crate::stmt::Stmt;
 
@@ -21,8 +23,8 @@ pub const CODE_ALIGN: u64 = 32;
 pub const INSTRS_PER_LINE: u32 = (CODE_ALIGN / INSTR_BYTES) as u32;
 
 // Every statement span is quantized to whole cache lines (its instruction
-// count rounded up to a multiple of INSTRS_PER_LINE). Consequences that the
-// PUB soundness argument relies on:
+// count rounded up to a multiple of INSTRS_PER_LINE, see `quantize`).
+// Consequences that the PUB soundness argument relies on:
 //
 // * all spans start line-aligned and the layout has no gaps;
 // * a statement of `k` instructions always fetches exactly `ceil(k/8)`
@@ -65,7 +67,8 @@ impl InstrSpan {
     }
 }
 
-/// Layout information for one statement, mirroring the statement tree.
+/// Layout information for one statement, in the shape of the statement
+/// tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LayoutNode {
     /// A straight-line statement (assign/store/touch/nop).
@@ -140,9 +143,14 @@ pub fn layout_program(p: &Program) -> Layout {
     }
 }
 
+/// The instruction slots a span of `instrs` instructions occupies: whole
+/// cache lines (see the module notes above).
+pub(crate) fn quantize(instrs: u32) -> u32 {
+    instrs.next_multiple_of(INSTRS_PER_LINE.max(1))
+}
+
 fn take_span(pc: &mut u64, count: u32) -> InstrSpan {
-    // Line quantization (see the module notes above).
-    let count = count.next_multiple_of(INSTRS_PER_LINE.max(1));
+    let count = quantize(count);
     let span = InstrSpan { addr: *pc, count };
     *pc += u64::from(count) * INSTR_BYTES;
     span
@@ -199,8 +207,7 @@ fn layout_stmts(stmts: &[Stmt], pc: &mut u64, next_id: &mut u32) -> Vec<LayoutNo
                 let id = *next_id;
                 *next_id += 1;
                 let init = take_span(pc, s.own_instr_count());
-                // Increment + compare/branch per iteration check.
-                let iter = take_span(pc, 2);
+                let iter = take_span(pc, FOR_ITER_INSTRS);
                 let body_nodes = layout_stmts(body, pc, next_id);
                 LayoutNode::For {
                     id,

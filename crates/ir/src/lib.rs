@@ -16,7 +16,10 @@
 //!   data accesses, the [`PathRecord`] identifying the traversed path, and
 //!   the final [`ExecState`];
 //! * [`Stmt::Touch`] / [`Stmt::Nop`] — the functionally-innocuous statement
-//!   kinds PUB inserts (see the `mbcr-pub` crate).
+//!   kinds PUB inserts (see the `mbcr-pub` crate);
+//! * [`Token`] / [`Stmt::own_token`] / [`flatten`] — the footprint model:
+//!   the data references and instruction count each span of code emits,
+//!   read alike by PUB, [`verify_balance`], [`PathSpace`] and [`classify`].
 //!
 //! Design notes relevant to PUB soundness:
 //!
@@ -52,6 +55,7 @@
 mod blpath;
 mod cachean;
 mod expr;
+mod footprint;
 mod interp;
 mod layout;
 mod paths;
@@ -66,6 +70,7 @@ pub use cachean::{
     ClassifiedSite, Rollup, RollupSide, Scope, SiteLoc,
 };
 pub use expr::{const_eval, BinOp, Expr, UnOp};
+pub use footprint::{flatten, push_tokens, Token, FOR_ITER_INSTRS};
 pub use interp::{execute, execute_with, ExecState, Inputs, InterpConfig, InterpError, Run};
 pub use layout::{layout_program, InstrSpan, Layout, LayoutNode, CODE_ALIGN, INSTRS_PER_LINE};
 pub use paths::{Decision, PathRecord};

@@ -3,10 +3,10 @@
 //! PUB (path upper-bounding) promises that after the transform, the two
 //! arms of every conditional are architecturally exchangeable: same
 //! instruction footprint, same ordered data-access signature, with only
-//! functionally-innocuous statements inserted. Until now that promise was
-//! enforced only by a `debug_assert!` inside the transform itself; this
-//! module re-checks it on *any* program, so `mbcr lint` can catch a
-//! corrupted artifact, a hand-edited benchmark, or a buggy transform.
+//! functionally-innocuous statements inserted. The arms are compared by
+//! the footprint model PUB itself equalizes ([`crate::flatten`]); this
+//! module re-checks the promise on *any* program, so `mbcr lint` can catch
+//! a corrupted artifact, a hand-edited benchmark, or a buggy transform.
 //!
 //! Checks and their diagnostic codes:
 //!
@@ -40,6 +40,7 @@
 use std::fmt;
 
 use crate::expr::{const_eval, Expr};
+use crate::footprint::flatten;
 use crate::program::{ArrayId, Program};
 use crate::stmt::Stmt;
 
@@ -221,122 +222,6 @@ pub fn verify_pair(orig: &Program, pubbed: &Program) -> Diagnostics {
 // ---------------------------------------------------------------------------
 // Per-program balance checks
 
-/// The architectural footprint of one statement occurrence — an IR-side
-/// mirror of `mbcr-pub`'s token model (same flattening: loops unrolled to
-/// `max_iter`, equalized conditionals contribute their then-arm).
-#[derive(Debug, Clone, PartialEq)]
-struct Token {
-    data: Vec<(ArrayId, Expr)>,
-    instrs: u32,
-}
-
-fn expr_loads(e: &Expr, out: &mut Vec<(ArrayId, Expr)>) {
-    e.for_each_load(&mut |array, index| out.push((array, index.clone())));
-}
-
-fn flatten_stmt(s: &Stmt, out: &mut Vec<Token>) {
-    match s {
-        Stmt::Assign(_, e) => {
-            let mut data = Vec::new();
-            expr_loads(e, &mut data);
-            out.push(Token {
-                data,
-                instrs: s.own_instr_count(),
-            });
-        }
-        Stmt::Store {
-            array,
-            index,
-            value,
-        } => {
-            let mut data = Vec::new();
-            expr_loads(index, &mut data);
-            expr_loads(value, &mut data);
-            data.push((*array, index.clone()));
-            out.push(Token {
-                data,
-                instrs: s.own_instr_count(),
-            });
-        }
-        Stmt::Touch { refs, .. } => out.push(Token {
-            data: refs.clone(),
-            instrs: s.own_instr_count(),
-        }),
-        Stmt::Nop { count } => out.push(Token {
-            data: Vec::new(),
-            instrs: *count,
-        }),
-        Stmt::If {
-            cond, then_branch, ..
-        } => {
-            let mut data = Vec::new();
-            expr_loads(cond, &mut data);
-            out.push(Token {
-                data,
-                instrs: s.own_instr_count(),
-            });
-            // Equalized arms flatten identically; nested imbalance is
-            // reported separately, so assuming the then-arm here is safe.
-            for inner in then_branch {
-                flatten_stmt(inner, out);
-            }
-        }
-        Stmt::While {
-            cond,
-            max_iter,
-            body,
-        } => {
-            let mut data = Vec::new();
-            expr_loads(cond, &mut data);
-            let header = Token {
-                data,
-                instrs: s.own_instr_count(),
-            };
-            out.push(header.clone());
-            for _ in 0..*max_iter {
-                for inner in body {
-                    flatten_stmt(inner, out);
-                }
-                out.push(header.clone());
-            }
-        }
-        Stmt::For {
-            from,
-            to,
-            max_iter,
-            body,
-            ..
-        } => {
-            let mut data = Vec::new();
-            expr_loads(from, &mut data);
-            expr_loads(to, &mut data);
-            out.push(Token {
-                data,
-                instrs: s.own_instr_count(),
-            });
-            let iter = Token {
-                data: Vec::new(),
-                instrs: 2,
-            };
-            out.push(iter.clone());
-            for _ in 0..*max_iter {
-                for inner in body {
-                    flatten_stmt(inner, out);
-                }
-                out.push(iter.clone());
-            }
-        }
-    }
-}
-
-fn flatten_seq(stmts: &[Stmt]) -> Vec<Token> {
-    let mut out = Vec::new();
-    for s in stmts {
-        flatten_stmt(s, &mut out);
-    }
-    out
-}
-
 struct BalanceWalker<'p> {
     program: &'p Program,
     next_id: u32,
@@ -384,8 +269,10 @@ impl BalanceWalker<'_> {
                 if const_eval(cond).is_some() {
                     return;
                 }
-                let then_toks = flatten_seq(then_branch);
-                let else_toks = flatten_seq(else_branch);
+                // `flatten` takes nested conditionals by their then-arms;
+                // a nested imbalance is reported at its own construct.
+                let then_toks = flatten(then_branch);
+                let else_toks = flatten(else_branch);
                 if then_toks != else_toks {
                     let ti: u64 = then_toks.iter().map(|t| u64::from(t.instrs)).sum();
                     let ei: u64 = else_toks.iter().map(|t| u64::from(t.instrs)).sum();

@@ -19,8 +19,9 @@
 //!
 //! 1. Conditionals are processed innermost-first.
 //! 2. Each branch's **signature** is computed: per-statement access tokens
-//!    (ordered data references + instruction count), loops unrolled to their
-//!    declared bounds ([`tokens`]).
+//!    (ordered data references + instruction count, `mbcr-ir`'s
+//!    [`Token`](mbcr_ir::Token)), loops unrolled to their declared bounds
+//!    ([`tokens`]).
 //! 3. The two signatures are merged with a token-level shortest common
 //!    supersequence — the minimal insertion set at statement granularity
 //!    (PUB "tries to minimize the number of addresses inserted").

@@ -1,45 +1,18 @@
-//! Static access signatures: the token sequences PUB equalizes.
+//! Statement signatures: the token runs PUB equalizes.
 //!
-//! A statement's **token** is its architectural footprint: the ordered data
-//! references it emits (array + index expression) plus its instruction
-//! count. A branch's **signature** is the list of per-statement token runs,
+//! A token is a span's architectural footprint ([`mbcr_ir::Token`]: its
+//! ordered data references plus its instruction count); the model lives in
+//! `mbcr-ir`, where the lint verifier, the path signatures and the cache
+//! analysis read it too. A statement's **signature** is its run of tokens,
 //! with loops unrolled to their declared bounds — the paper's assumption
-//! that analysis inputs trigger the highest loop bounds, made explicit.
+//! that analysis inputs trigger the highest loop bounds, made explicit. A
+//! branch's signature is the list of its statements' signatures.
 //!
-//! Two statements with equal tokens are architecturally exchangeable under
-//! random placement (same data lines touched in the same order, same number
-//! of sequential instruction fetches), even if they compute different
-//! values. That is the equality PUB's merge uses.
+//! Two statements with equal signatures are architecturally exchangeable
+//! under random placement, even if they compute different values. That is
+//! the equality PUB's merge uses.
 
-use mbcr_ir::{ArrayId, Expr, Stmt};
-
-/// One data reference: which array, and the index expression that selects
-/// the element.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DataRef {
-    /// Referenced array.
-    pub array: ArrayId,
-    /// Index expression (compared structurally).
-    pub index: Expr,
-}
-
-/// The architectural footprint of one executed statement occurrence.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Token {
-    /// Ordered data references (loads in evaluation order; a store's target
-    /// comes last, matching the interpreter's emission order).
-    pub data: Vec<DataRef>,
-    /// Number of instruction fetches.
-    pub instrs: u32,
-}
-
-impl Token {
-    /// Total data references.
-    #[must_use]
-    pub fn data_len(&self) -> usize {
-        self.data.len()
-    }
-}
+use mbcr_ir::{push_tokens, Stmt, Token};
 
 /// The footprint of one whole statement (loops unrolled to `max_iter`,
 /// conditionals assumed equalized — callers must transform innermost
@@ -61,15 +34,6 @@ impl StmtSig {
     }
 }
 
-fn expr_loads(e: &Expr, out: &mut Vec<DataRef>) {
-    e.for_each_load(&mut |array, index| {
-        out.push(DataRef {
-            array,
-            index: index.clone(),
-        });
-    });
-}
-
 /// Computes the footprint of a statement.
 ///
 /// For conditionals the **then**-branch signature is used; this is only
@@ -79,7 +43,7 @@ fn expr_loads(e: &Expr, out: &mut Vec<DataRef>) {
 #[must_use]
 pub fn stmt_sig(s: &Stmt) -> StmtSig {
     let mut tokens = Vec::new();
-    push_stmt_tokens(s, &mut tokens);
+    push_tokens(s, &mut tokens);
     StmtSig(tokens)
 }
 
@@ -87,119 +51,6 @@ pub fn stmt_sig(s: &Stmt) -> StmtSig {
 #[must_use]
 pub fn seq_sig(stmts: &[Stmt]) -> Vec<StmtSig> {
     stmts.iter().map(stmt_sig).collect()
-}
-
-fn push_stmt_tokens(s: &Stmt, out: &mut Vec<Token>) {
-    match s {
-        Stmt::Assign(_, e) => {
-            let mut data = Vec::new();
-            expr_loads(e, &mut data);
-            out.push(Token {
-                data,
-                instrs: s.own_instr_count(),
-            });
-        }
-        Stmt::Store {
-            array,
-            index,
-            value,
-        } => {
-            let mut data = Vec::new();
-            expr_loads(index, &mut data);
-            expr_loads(value, &mut data);
-            data.push(DataRef {
-                array: *array,
-                index: index.clone(),
-            });
-            out.push(Token {
-                data,
-                instrs: s.own_instr_count(),
-            });
-        }
-        Stmt::Touch { refs, .. } => {
-            let data = refs
-                .iter()
-                .map(|(array, index)| DataRef {
-                    array: *array,
-                    index: index.clone(),
-                })
-                .collect();
-            out.push(Token {
-                data,
-                instrs: s.own_instr_count(),
-            });
-        }
-        Stmt::Nop { count } => {
-            out.push(Token {
-                data: Vec::new(),
-                instrs: *count,
-            });
-        }
-        Stmt::If {
-            cond, then_branch, ..
-        } => {
-            let mut data = Vec::new();
-            expr_loads(cond, &mut data);
-            out.push(Token {
-                data,
-                instrs: s.own_instr_count(),
-            });
-            // Assumes equalized branches: both flatten identically.
-            for inner in then_branch {
-                push_stmt_tokens(inner, out);
-            }
-        }
-        Stmt::While {
-            cond,
-            max_iter,
-            body,
-        } => {
-            let header = {
-                let mut data = Vec::new();
-                expr_loads(cond, &mut data);
-                Token {
-                    data,
-                    instrs: s.own_instr_count(),
-                }
-            };
-            out.push(header.clone());
-            for _ in 0..*max_iter {
-                for inner in body {
-                    push_stmt_tokens(inner, out);
-                }
-                out.push(header.clone());
-            }
-        }
-        Stmt::For {
-            from,
-            to,
-            max_iter,
-            body,
-            ..
-        } => {
-            let init = {
-                let mut data = Vec::new();
-                expr_loads(from, &mut data);
-                expr_loads(to, &mut data);
-                Token {
-                    data,
-                    instrs: s.own_instr_count(),
-                }
-            };
-            let iter = Token {
-                data: Vec::new(),
-                instrs: 2,
-            };
-            out.push(init);
-            out.push(iter.clone());
-            for _ in 0..*max_iter {
-                for inner in body {
-                    push_stmt_tokens(inner, out);
-                }
-                out.push(iter.clone());
-            }
-        }
-    }
 }
 
 /// Materializes a signature as functionally-innocuous statements emitting
@@ -213,10 +64,11 @@ pub fn materialize(sig: &StmtSig) -> Vec<Stmt> {
             if t.data.is_empty() {
                 Stmt::Nop { count: t.instrs }
             } else {
-                let refs: Vec<(ArrayId, Expr)> =
-                    t.data.iter().map(|d| (d.array, d.index.clone())).collect();
-                let pad = t.instrs.saturating_sub(refs.len() as u32);
-                Stmt::Touch { refs, pad }
+                let pad = t.instrs.saturating_sub(t.data.len() as u32);
+                Stmt::Touch {
+                    refs: t.data.clone(),
+                    pad,
+                }
             }
         })
         .collect()
@@ -225,7 +77,7 @@ pub fn materialize(sig: &StmtSig) -> Vec<Stmt> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mbcr_ir::{ProgramBuilder, Var};
+    use mbcr_ir::{ArrayId, Expr, ProgramBuilder, Var};
 
     fn c(v: i64) -> Expr {
         Expr::c(v)
@@ -247,7 +99,7 @@ mod tests {
         let tok = &sig.0[0];
         // a[d[0]] = 5, a[1] = 3, add = 1, move = 1.
         assert_eq!(tok.instrs, 10);
-        let arrays: Vec<ArrayId> = tok.data.iter().map(|r| r.array).collect();
+        let arrays: Vec<ArrayId> = tok.data.iter().map(|r| r.0).collect();
         assert_eq!(arrays, vec![d, a, a]);
     }
 
@@ -260,7 +112,7 @@ mod tests {
         let sig = stmt_sig(&s);
         let tok = &sig.0[0];
         assert_eq!(tok.data.len(), 2);
-        assert_eq!(tok.data[1].index, c(0), "store target last");
+        assert_eq!(tok.data[1], (a, c(0)), "store target last");
     }
 
     #[test]

@@ -287,8 +287,8 @@ impl Ctx {
         let (else_p, e_ins, e_instrs, e_refs) = pad_branch(else_branch, &sig_e, &merged);
 
         debug_assert_eq!(
-            flatten(&seq_sig(&then_p)),
-            flatten(&seq_sig(&else_p)),
+            mbcr_ir::flatten(&then_p),
+            mbcr_ir::flatten(&else_p),
             "equalized branches must share one flattened token sequence"
         );
 
@@ -388,10 +388,6 @@ impl Prefixed for Stmt {
     }
 }
 
-fn flatten(sigs: &[StmtSig]) -> Vec<crate::tokens::Token> {
-    sigs.iter().flat_map(|s| s.0.iter().cloned()).collect()
-}
-
 /// Pads one branch against the merged signature. Returns the padded branch
 /// and (inserted statement count, inserted instructions, inserted refs).
 fn pad_branch(
@@ -467,10 +463,7 @@ mod tests {
         else {
             panic!("if expected")
         };
-        assert_eq!(
-            flatten(&seq_sig(then_branch)),
-            flatten(&seq_sig(else_branch))
-        );
+        assert_eq!(mbcr_ir::flatten(then_branch), mbcr_ir::flatten(else_branch));
         // SCS of [A,B] and [B,C] is [A,B,C]: one insertion per branch.
         let rep = &result.report.constructs[0];
         assert_eq!(rep.then_inserted, 1);

@@ -48,7 +48,7 @@ use mbcr::stage::{MemoryStageStore, StageStore};
 use mbcr_engine::{execute_stage, Registry};
 use mbcr_json::Json;
 
-use crate::protocol::{self, JobResult, Message, WireJob};
+use crate::protocol::{self, JobResult, Message, Received, WireJob};
 
 /// How often an executing worker proves liveness.
 const HEARTBEAT_EVERY: Duration = Duration::from_millis(1000);
@@ -140,9 +140,10 @@ pub struct WorkerOutcome {
 ///
 /// # Errors
 ///
-/// Connection or protocol failures of any slot. A coordinator that
-/// simply closes the socket (it exited after finalizing) ends the slot
-/// cleanly instead.
+/// Connection or protocol failures of any slot, including a coordinator
+/// that never answers the handshake within the connect budget (~20 s).
+/// A coordinator that simply closes the socket (it exited after
+/// finalizing) ends the slot cleanly instead.
 pub fn run_worker(addr: &str, slots: usize) -> io::Result<WorkerOutcome> {
     install_drain_handler();
     let slots = slots.max(1);
@@ -216,8 +217,13 @@ fn worker_slot(addr: &str) -> io::Result<WorkerOutcome> {
             schema: protocol::wire_schema(),
         },
     )?;
-    match protocol::receive(&mut reader)? {
-        Some(Message::Welcome { schema }) => {
+    // A listener that is bound but never accepts still completes the TCP
+    // connect, so the Welcome read gets the same budget as the connect
+    // retries instead of blocking until that listener closes.
+    let handshake_budget = CONNECT_BACKOFF * CONNECT_RETRIES as u32;
+    reader.set_read_timeout(Some(handshake_budget))?;
+    match protocol::receive_or_idle(&mut reader)? {
+        Received::Message(Message::Welcome { schema }) => {
             if schema != protocol::wire_schema() {
                 return Err(protocol_error(format!(
                     "coordinator speaks '{schema}', this worker '{}'",
@@ -225,12 +231,12 @@ fn worker_slot(addr: &str) -> io::Result<WorkerOutcome> {
                 )));
             }
         }
-        Some(Message::Reject { reason }) => {
+        Received::Message(Message::Reject { reason }) => {
             return Err(protocol_error(format!(
                 "coordinator refused the handshake: {reason}"
             )))
         }
-        Some(other) => {
+        Received::Message(other) => {
             return Err(protocol_error(format!(
                 "expected welcome, got {}",
                 other.to_json().to_compact()
@@ -238,12 +244,22 @@ fn worker_slot(addr: &str) -> io::Result<WorkerOutcome> {
         }
         // A close before Welcome is a refusal, not a finished fleet — be
         // loud so misconfiguration never idles silently.
-        None => {
+        Received::Closed => {
             return Err(protocol_error(
                 "coordinator closed the connection during the handshake",
             ))
         }
+        Received::Idle => {
+            return Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                format!(
+                    "coordinator never answered the handshake within {} s",
+                    handshake_budget.as_secs()
+                ),
+            ))
+        }
     }
+    reader.set_read_timeout(None)?;
 
     let registry = Registry::malardalen();
     // Dropping `stop` ends the heartbeat thread at once, not at its next

@@ -3,7 +3,8 @@
 //! path of the original program on the time-randomized platform.
 
 use mbcr::prelude::*;
-use mbcr_ir::{execute, verify_balance};
+use mbcr_ir::{classify, execute, validate_classification, verify_balance, PathSpace};
+use mbcr_malardalen::Benchmark;
 use mbcr_pub::shape::{data_shape, shape_summary};
 
 const PROBES: [f64; 4] = [0.5, 0.1, 0.01, 0.001];
@@ -250,5 +251,61 @@ fn loop_padding_equalizes_short_paths() {
     for p in PROBES {
         let (a, bq) = (e_sorted.quantile(p), e_rev.quantile(p));
         assert!((a - bq).abs() / bq < 0.05, "p={p}: {a} vs {bq}");
+    }
+}
+
+/// The three forms of a benchmark the analyses read: the original, the
+/// paper-PUB program and the loop-padded program.
+fn forms(b: &Benchmark) -> [(&'static str, Program); 3] {
+    let pubbed = |cfg| pub_transform(&b.program, &cfg).expect("pub").program;
+    [
+        ("original", b.program.clone()),
+        ("paper", pubbed(PubConfig::paper())),
+        ("padded", pubbed(PubConfig::with_loop_padding())),
+    ]
+}
+
+/// The footprint model against the interpreter, path by path: on every
+/// benchmark form and input vector, the Ball–Larus signature of the run's
+/// path is exactly its instruction-fetch count and trace length.
+#[test]
+fn path_signatures_match_every_benchmark_run() {
+    for b in mbcr_malardalen::suite() {
+        for (form, program) in forms(&b) {
+            let space = PathSpace::of(&program);
+            for v in &b.input_vectors {
+                let run = execute(&program, &v.inputs).unwrap();
+                let sig = space
+                    .signature_of(&run.path)
+                    .unwrap_or_else(|e| panic!("{} {form} {}: {e}", b.name, v.name));
+                assert_eq!(
+                    (sig.instr_fetches, sig.instr_fetches + sig.data_accesses),
+                    (
+                        run.trace.instr_fetches().count() as u64,
+                        run.trace.len() as u64
+                    ),
+                    "{} {form} {}",
+                    b.name,
+                    v.name
+                );
+            }
+        }
+    }
+}
+
+/// The footprint model against the interpreter, access by access: on
+/// every benchmark form, the cache analysis at the paper L1 attributes
+/// every access of every input vector's run to one of its sites, and the
+/// simulator contradicts none of its classifications.
+#[test]
+fn cache_classification_validates_on_every_benchmark_form() {
+    let l1 = CacheGeometry::paper_l1();
+    for b in mbcr_malardalen::suite() {
+        let inputs: Vec<Inputs> = b.input_vectors.iter().map(|v| v.inputs.clone()).collect();
+        for (form, program) in forms(&b) {
+            let cls = classify(&program, l1, l1);
+            let diags = validate_classification(&program, &inputs, &cls).expect("runs");
+            assert!(diags.is_empty(), "{} {form}: {diags}", b.name);
+        }
     }
 }
